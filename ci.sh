@@ -3,8 +3,8 @@
 #
 # Runs the same checks as .github/workflows/ci.yml, in order of
 # increasing cost, stopping at the first failure. No step needs network
-# access: the workspace has no external dependencies (property tests and
-# criterion benches are gated behind off-by-default features).
+# access: the workspace has no external dependencies (property tests are
+# gated behind an off-by-default feature).
 #
 # Usage: ./ci.sh
 set -euo pipefail

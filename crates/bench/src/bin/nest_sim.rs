@@ -30,8 +30,8 @@
 //! change its results.
 
 use nest_core::experiment::format_table;
-use nest_core::{run_many, run_once_with};
-use nest_harness::{Artifact, Json, Matrix};
+use nest_core::{run_once_with, run_seed};
+use nest_harness::{jobs, metric_blocks, run_raw, Artifact, Json, Matrix, RawCell};
 use nest_metrics::{FleetMetrics, PhaseMetrics, ServeMetrics, PHASE_NAMES};
 use nest_obs::{chrome_trace_with_timeseries, DecisionMetrics, EventClass, TraceCollector};
 use nest_scenario::{Scenario, DEFAULT_RUNS, DEFAULT_SEED};
@@ -922,42 +922,27 @@ fn stats(args: &[String]) {
     let s = single_scenario(&a, "stats");
     let runs = a.runs.unwrap_or(1);
 
-    let workload = s.build_workload();
-    let results = run_many(&s.sim_config(), workload.as_ref(), runs);
-    let mut merged = DecisionMetrics::default();
-    let mut serve = ServeMetrics::default();
-    let mut phases = PhaseMetrics::default();
-    let mut fleet = FleetMetrics::default();
-    for r in &results {
-        merged.merge(&r.decision);
-        serve.merge(&r.serve);
-        phases.merge(&r.phases);
-        if let Some(f) = &r.fleet {
-            fleet.merge(&f.metrics);
-        }
-    }
+    let cfg = s.sim_config();
+    let cells = (0..runs)
+        .map(|i| {
+            let spec = s.workload_spec();
+            RawCell {
+                cfg: cfg.clone().seed(run_seed(cfg.seed, i)),
+                make: Box::new(move || spec.build()),
+            }
+        })
+        .collect();
+    let (_, t) = run_raw(cells, jobs());
     if a.json {
-        let mut fields = vec![
-            ("scenario", s.to_json()),
-            ("runs", Json::usize(runs)),
-            ("decision_metrics", merged.to_json()),
-        ];
-        if serve.runs > 0 {
-            fields.push(("serve_metrics", serve.to_json()));
-        }
-        if phases.runs > 0 {
-            fields.push(("phase_metrics", phases.to_json()));
-        }
-        if fleet.runs > 0 {
-            fields.push(("fleet_metrics", fleet.to_json()));
-        }
+        let mut fields = vec![("scenario", s.to_json()), ("runs", Json::usize(runs))];
+        fields.extend(metric_blocks(&t));
         println!("{}", obj(fields).to_pretty());
         return;
     }
-    print!("{}", stats_report(&s, &merged));
-    print!("{}", serve_report(&serve));
-    print!("{}", phase_report(&phases));
-    print!("{}", fleet_report(&fleet));
+    print!("{}", stats_report(&s, &t.decision_metrics));
+    print!("{}", serve_report(&t.serve_metrics));
+    print!("{}", phase_report(&t.phase_metrics));
+    print!("{}", fleet_report(&t.fleet_metrics));
 }
 
 /// Which direction of change counts as a regression for one metric.

@@ -268,32 +268,33 @@ impl<'a> Driver<'a> {
     /// polls warm-recovery progress.
     fn advance_to(&mut self, t_ns: u64) {
         for h in 0..self.hosts.len() {
-            if !self.hosts[h].alive {
-                continue;
-            }
-            let local = t_ns.saturating_sub(self.hosts[h].epoch_ns);
-            let done = {
-                let engine = self.hosts[h]
-                    .engine
-                    .as_mut()
-                    .expect("alive host has engine");
-                engine.run_to(Time::from_nanos(local))
-            };
-            if let Some(outcome) = done {
-                // Horizon or watchdog ended this host early; it stops
-                // taking traffic but its metrics survive.
-                let host = &mut self.hosts[h];
-                host.alive = false;
-                host.engine = None;
-                host.outstanding = 0;
-                let rig = host.rig.take().expect("rig present until collected");
-                let r = collect_result(&outcome, rig);
-                self.results
-                    .push((h, self.hosts[h].epoch, self.hosts[h].epoch_ns, r));
+            if self.hosts[h].alive {
+                let local = t_ns.saturating_sub(self.hosts[h].epoch_ns);
+                self.run_host_to(h, local);
             }
         }
         self.apply_completions();
         self.poll_warmth(t_ns);
+    }
+
+    /// Runs alive host `h` to host-local time `local_ns`.
+    fn run_host_to(&mut self, h: usize, local_ns: u64) {
+        let engine = self.hosts[h]
+            .engine
+            .as_mut()
+            .expect("alive host has engine");
+        if let Some(outcome) = engine.run_to(Time::from_nanos(local_ns)) {
+            // Horizon or watchdog ended this host early; it stops
+            // taking traffic but its metrics survive.
+            let host = &mut self.hosts[h];
+            host.alive = false;
+            host.engine = None;
+            host.outstanding = 0;
+            let rig = host.rig.take().expect("rig present until collected");
+            let r = collect_result(&outcome, rig);
+            self.results
+                .push((h, self.hosts[h].epoch, self.hosts[h].epoch_ns, r));
+        }
     }
 
     fn apply_completions(&mut self) {
@@ -582,6 +583,9 @@ impl<'a> Driver<'a> {
             fresh.restart_ns = Some(t_ns);
             self.hosts[h] = fresh;
             self.metrics.restarts += 1;
+            // The new epoch boots now, so winding it down in `finish` is
+            // valid even when no later event advances it.
+            self.run_host_to(h, 0);
         }
     }
 
@@ -874,6 +878,27 @@ mod tests {
             m.warm_recoveries <= m.restarts,
             "warm recoveries bound by restarts"
         );
+    }
+
+    #[test]
+    fn restart_after_the_stream_drains_winds_down_cleanly() {
+        // The host comes back at 300 ms, long after the 100 requests (at
+        // 2000/s) have settled: no later event advances the new epoch.
+        let spec = nest_fleet::FleetSpec::from_params(&nest_scenario_params(
+            "hosts=2,hostdown=1@200ms:100ms",
+        ))
+        .unwrap();
+        let serve = ServeSpec {
+            rate: 2_000.0,
+            requests: 100,
+            ..ServeSpec::default()
+        };
+        let wl = FleetLoad::new(spec, Box::new(ServeLoad::new(serve)));
+        let r = run_once(&fleet_cfg(), &wl);
+        let m = &r.fleet.as_ref().unwrap().metrics;
+        assert_eq!(m.completed + m.failed + m.shed, m.offered);
+        assert_eq!(m.offered, 100);
+        assert_eq!(m.restarts, 1);
     }
 
     #[test]

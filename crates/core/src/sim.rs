@@ -12,18 +12,18 @@ use nest_engine::{Engine, EngineConfig, RunOutcome};
 use nest_faults::FaultPlan;
 use nest_freq::Governor;
 use nest_metrics::{
-    ExecutionTrace, ExecutionTraceProbe, FreqResidency, FreqResidencyProbe, PhaseBreakdownProbe,
-    PhaseMetrics, PlacementCounts, PlacementProbe, ServeMetrics, ServeMetricsProbe, UnderloadData,
+    ExecutionTrace, FreqResidency, FreqResidencyProbe, PhaseBreakdownProbe, PhaseMetrics,
+    PlacementCounts, PlacementProbe, ServeMetrics, ServeMetricsProbe, UnderloadData,
     UnderloadProbe, WakeupLatencies, WakeupLatencyProbe,
 };
 use nest_metrics::{FleetRunStats, FleetSummary, RunSummary, ServeSummary};
 use nest_obs::{
-    DecisionMetrics, DecisionMetricsProbe, InvariantChecker, InvariantCounts, TimeSeries,
-    TimeSeriesSampler,
+    DecisionMetrics, DecisionMetricsProbe, EventClass, InvariantChecker, InvariantCounts,
+    TimeSeries, TimeSeriesSampler, TraceCollector, TraceLog,
 };
 use nest_sched::{Cfs, CfsParams, Nest, NestParams, SchedPolicy, Smove, SmoveParams};
 use nest_simcore::rng::mix64;
-use nest_simcore::{CoreId, Probe, SimRng, Time};
+use nest_simcore::{CoreId, Freq, Probe, SimRng, Time};
 use nest_topology::MachineSpec;
 use nest_workloads::Workload;
 
@@ -270,7 +270,9 @@ pub(crate) struct ProbeRig {
     invariants: Rc<RefCell<InvariantCounts>>,
     serve: Option<Rc<RefCell<ServeMetrics>>>,
     phases: Option<Rc<RefCell<PhaseMetrics>>>,
-    trace: Option<Rc<RefCell<ExecutionTrace>>>,
+    /// The run/frequency capture of a traced run, with each core's
+    /// starting frequency.
+    trace: Option<(Rc<RefCell<TraceLog>>, Vec<Freq>)>,
     timeseries: Rc<RefCell<TimeSeries>>,
 }
 
@@ -338,9 +340,11 @@ pub(crate) fn build_engine(
         (Some(sh), Some(ph))
     };
     let trace = if cfg.collect_trace {
-        let (tp, th) = ExecutionTraceProbe::new(n_cores, initial_freq);
-        engine.add_probe(Box::new(tp));
-        Some(th)
+        let (tc, log) = TraceCollector::new(usize::MAX);
+        engine.add_probe(Box::new(
+            tc.with_classes(&[EventClass::Run, EventClass::Freq]),
+        ));
+        Some((log, vec![initial_freq; n_cores]))
     } else {
         None
     };
@@ -408,7 +412,10 @@ pub(crate) fn collect_result(outcome: &RunOutcome, rig: ProbeRig) -> RunResult {
         freq: take(&rig.freq),
         placements: take(&rig.placements),
         latency: take(&rig.latency),
-        trace: rig.trace.map(|h| take(&h)),
+        trace: rig.trace.map(|(log, freq)| {
+            let log = take(&log);
+            ExecutionTrace::from_events(freq, &log.events, log.duration)
+        }),
         decision: take(&rig.decision),
         serve,
         total_tasks: outcome.total_tasks,

@@ -142,22 +142,8 @@ impl Artifact {
             ),
             ("cells_aborted", Json::usize(t.cells_aborted)),
             ("invariants", t.invariants.to_json()),
-            ("decision_metrics", t.decision_metrics.to_json()),
         ];
-        // Only serving matrices carry a serve block, so existing figures'
-        // telemetry keeps its exact shape.
-        if t.serve_metrics.runs > 0 {
-            fields.push(("serve_metrics", t.serve_metrics.to_json()));
-        }
-        // Likewise, only serving matrices carry the latency-attribution
-        // block.
-        if t.phase_metrics.runs > 0 {
-            fields.push(("phase_metrics", t.phase_metrics.to_json()));
-        }
-        // And only multi-host matrices carry the fleet block.
-        if t.fleet_metrics.runs > 0 {
-            fields.push(("fleet_metrics", t.fleet_metrics.to_json()));
-        }
+        fields.extend(metric_blocks(t));
         // Every simulated cell samples a time series; a fully cached run
         // has none and keeps the pre-sampler telemetry shape.
         if !t.timeseries.is_empty() {
@@ -195,6 +181,25 @@ impl Artifact {
         }
         Ok(path)
     }
+}
+
+/// The folded metric blocks of a telemetry: `decision_metrics` always,
+/// then `serve_metrics`, `phase_metrics` and `fleet_metrics` only when
+/// some cell contributed one, so runs without serving or fleets keep
+/// their exact shape. Telemetry sidecars and `nest-sim stats --json` both
+/// serialize through this.
+pub fn metric_blocks(t: &Telemetry) -> Vec<(&'static str, Json)> {
+    let mut fields = vec![("decision_metrics", t.decision_metrics.to_json())];
+    if t.serve_metrics.runs > 0 {
+        fields.push(("serve_metrics", t.serve_metrics.to_json()));
+    }
+    if t.phase_metrics.runs > 0 {
+        fields.push(("phase_metrics", t.phase_metrics.to_json()));
+    }
+    if t.fleet_metrics.runs > 0 {
+        fields.push(("fleet_metrics", t.fleet_metrics.to_json()));
+    }
+    fields
 }
 
 /// Serializes a profiler snapshot: per-subsystem calls, wall time, and

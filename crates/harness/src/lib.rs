@@ -16,9 +16,10 @@
 //! * each cell's seed is a pure SplitMix hash of its coordinates
 //!   ([`cell_seed`]);
 //! * each cell's simulation runs entirely inside one worker thread (the
-//!   engine's `Rc`/`RefCell` graph is built and dropped there; only the
-//!   plain-data [`RunSummary`](nest_metrics::RunSummary) crosses threads);
-//! * results land in a slot table by cell index, not completion order.
+//!   engine's `Rc`/`RefCell` graph is built and dropped there; only
+//!   plain-data results cross threads);
+//! * results land in a slot table by cell index, not completion order,
+//!   and one fold consumes them in index order.
 //!
 //! Nondeterministic observations (wall-clock, cache hits) are quarantined
 //! in [`Telemetry`] and the separate `results/<figure>.telemetry.json`.
@@ -66,7 +67,7 @@ pub mod runner;
 /// lives so lower layers like the scenario registry can share it).
 pub use nest_simcore::json;
 
-pub use artifact::{comparison_json, results_dir, Artifact};
+pub use artifact::{comparison_json, metric_blocks, results_dir, Artifact};
 pub use cache::{Cache, CacheMode};
 pub use nest_simcore::json::Json;
 pub use progress::Progress;

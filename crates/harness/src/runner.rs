@@ -11,10 +11,10 @@
 //!    runs first on one thread or last on sixteen.
 //! 2. **Engine graphs never cross threads.** The simulation engine is an
 //!    `Rc`/`RefCell` object graph; each worker constructs its workload and
-//!    engine locally and only the plain-data [`RunSummary`] escapes.
+//!    engine locally and only the plain-data [`RunResult`] escapes.
 //! 3. **Results are placed by cell index, not completion order.** Workers
 //!    pull cells from an atomic cursor and write into a preallocated slot
-//!    table; assembly reads the table in index order.
+//!    table; one fold consumes the table in index order.
 //!
 //! Consequently `NEST_JOBS=1` and `NEST_JOBS=8` produce byte-identical
 //! comparisons and artifacts — a property the determinism tests pin down.
@@ -115,9 +115,10 @@ pub type WorkloadFactory = Box<dyn Fn() -> Box<dyn Workload> + Send + Sync>;
 
 /// How many per-cell time series one telemetry artifact keeps. Every
 /// simulated cell samples a [`TimeSeries`]; keeping them all would make
-/// large matrices' telemetry files enormous, so the merge keeps the
+/// large matrices' telemetry files enormous, so [`Matrix::run`] keeps the
 /// lexicographically first few by cell label (an order-independent
-/// selection) and counts the rest as dropped.
+/// selection), [`run_raw`] the first few cells, and both count the rest
+/// as dropped.
 pub const TELEMETRY_TIMESERIES_CAP: usize = 4;
 
 /// Number of worker threads, from `NEST_JOBS` (default: the machine's
@@ -195,7 +196,7 @@ pub struct Telemetry {
     pub fleet_metrics: FleetMetrics,
     /// Interval-sampled machine-state series of up to
     /// [`TELEMETRY_TIMESERIES_CAP`] simulated cells, keyed by cell label
-    /// and sorted by it (cache hits sample nothing).
+    /// (cache hits sample nothing).
     pub timeseries: Vec<(String, TimeSeries)>,
     /// Sampled cells beyond the cap whose series were dropped.
     pub timeseries_dropped: usize,
@@ -243,53 +244,111 @@ impl Telemetry {
     pub fn all_cells_ok(&self) -> bool {
         self.failures.is_empty()
     }
-}
 
-/// Assembles a [`Telemetry`] from a run's bookkeeping plus the profiler
-/// delta since `prof_before` (taken at run start).
-#[allow(clippy::too_many_arguments)]
-fn finish_telemetry(
-    jobs: usize,
-    cells_total: usize,
-    cells_cached: usize,
-    started: Instant,
-    prof_before: &profile::Snapshot,
-    decision_metrics: DecisionMetrics,
-    serve_metrics: ServeMetrics,
-    phase_metrics: PhaseMetrics,
-    fleet_metrics: FleetMetrics,
-    timeseries: Vec<(String, TimeSeries)>,
-    timeseries_dropped: usize,
-    failures: Vec<CellFailure>,
-    cells_aborted: usize,
-    invariants: InvariantCounts,
-    warm: Option<WarmTelemetry>,
-) -> Telemetry {
-    let wall_s = started.elapsed().as_secs_f64();
-    let delta = profile::snapshot().since(prof_before);
-    Telemetry {
-        jobs,
-        cells_total,
-        cells_cached,
-        wall_s,
-        events_total: delta.events,
-        events_per_sec: if wall_s > 0.0 {
+    /// An empty fold over `cells_total` cells. The invariant tallies
+    /// start `completed` (an empty fold has no incomplete run), which
+    /// `InvariantCounts::default()` does not.
+    fn new(cells_total: usize, warm: Option<WarmTelemetry>) -> Telemetry {
+        Telemetry {
+            jobs: 0,
+            cells_total,
+            cells_cached: 0,
+            wall_s: 0.0,
+            events_total: 0,
+            events_per_sec: 0.0,
+            decision_metrics: DecisionMetrics::default(),
+            serve_metrics: ServeMetrics::default(),
+            phase_metrics: PhaseMetrics::default(),
+            fleet_metrics: FleetMetrics::default(),
+            timeseries: Vec::new(),
+            timeseries_dropped: 0,
+            profile: None,
+            failures: Vec::new(),
+            cells_aborted: 0,
+            invariants: InvariantCounts {
+                completed: true,
+                ..InvariantCounts::default()
+            },
+            warm,
+        }
+    }
+
+    /// Folds one simulated cell in. Callers fold in cell-index order: the
+    /// merges are order-independent sums except the decision metrics'
+    /// occupancy timeline, which belongs to the first contributor.
+    fn absorb(&mut self, label: String, r: &RunResult) {
+        self.decision_metrics.merge(&r.decision);
+        self.serve_metrics.merge(&r.serve);
+        self.phase_metrics.merge(&r.phases);
+        if let Some(f) = &r.fleet {
+            self.fleet_metrics.merge(&f.metrics);
+        }
+        self.invariants.merge(&r.invariants);
+        self.cells_aborted += usize::from(r.aborted);
+        if !r.timeseries.is_empty() {
+            self.timeseries.push((label, r.timeseries.clone()));
+        }
+    }
+
+    /// Closes the fold: records the worker count, the wall-clock and
+    /// event deltas since `started`/`prof_before`, and keeps the first
+    /// [`TELEMETRY_TIMESERIES_CAP`] series in their current order.
+    fn finish(&mut self, jobs: usize, started: Instant, prof_before: &profile::Snapshot) {
+        let wall_s = started.elapsed().as_secs_f64();
+        let delta = profile::snapshot().since(prof_before);
+        self.jobs = jobs;
+        self.wall_s = wall_s;
+        self.events_total = delta.events;
+        self.events_per_sec = if wall_s > 0.0 {
             delta.events as f64 / wall_s
         } else {
             0.0
-        },
-        decision_metrics,
-        serve_metrics,
-        phase_metrics,
-        fleet_metrics,
-        timeseries,
-        timeseries_dropped,
-        profile: profile::enabled().then_some(delta),
-        failures,
-        cells_aborted,
-        invariants,
-        warm,
+        };
+        self.profile = profile::enabled().then_some(delta);
+        self.timeseries_dropped = self
+            .timeseries
+            .len()
+            .saturating_sub(TELEMETRY_TIMESERIES_CAP);
+        self.timeseries.truncate(TELEMETRY_TIMESERIES_CAP);
     }
+}
+
+/// The one worker pool: runs `work(i)` for every `i < n` on up to `jobs`
+/// scoped threads that pull indices from a shared cursor, and hands each
+/// result to `fold` in index order. A result that finishes ahead of an
+/// earlier, slower cell waits in its slot until the fold reaches it, so
+/// only that out-of-order window is ever held. Returns the worker count.
+///
+/// A panic in `work` propagates once every worker has stopped.
+fn fan_out<T: Send>(
+    n: usize,
+    jobs: usize,
+    work: impl Fn(usize) -> T + Sync,
+    fold: impl FnMut(usize, T) + Send,
+) -> usize {
+    let workers = jobs.clamp(1, n.max(1));
+    let cursor = AtomicUsize::new(0);
+    // (next index to fold, the slot table, the fold itself)
+    let state = Mutex::new((0, (0..n).map(|_| None).collect::<Vec<Option<T>>>(), fold));
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                let out = work(i);
+                let mut guard = state.lock().expect("fold panicked");
+                let (next, slots, fold) = &mut *guard;
+                slots[i] = Some(out);
+                while let Some(out) = slots.get_mut(*next).and_then(Option::take) {
+                    fold(*next, out);
+                    *next += 1;
+                }
+            });
+        }
+    });
+    workers
 }
 
 /// Watchdog limits from the environment: `NEST_EVENT_BUDGET` (events per
@@ -337,14 +396,9 @@ pub fn cell_seed(
 /// What one successfully executed cell produced.
 struct CellDone {
     summary: RunSummary,
-    cached: bool,
-    aborted: bool,
-    decision: Option<DecisionMetrics>,
-    serve: Option<ServeMetrics>,
-    phases: Option<PhaseMetrics>,
-    fleet: Option<FleetMetrics>,
-    timeseries: Option<TimeSeries>,
-    invariants: Option<InvariantCounts>,
+    /// The full result of a simulated cell; `None` for a cache hit. Held
+    /// only until the in-order fold reaches the cell.
+    run: Option<RunResult>,
     /// `Some(events)` when the cell resumed from a warm snapshot that had
     /// already dispatched `events` events.
     warm_restored: Option<u64>,
@@ -538,33 +592,9 @@ impl Matrix {
         let prof_before = profile::snapshot();
         let cells = self.flatten();
         let total = cells.len();
-        type Slot = Option<Result<CellDone, String>>;
-        let slots: Mutex<Vec<Slot>> = Mutex::new((0..total).map(|_| None).collect());
-        let cursor = AtomicUsize::new(0);
-        let done = AtomicUsize::new(0);
-        let workers = self.jobs.min(total.max(1));
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(cell) = cells.get(i) else { break };
-                    // One panicking simulation must not take down the
-                    // matrix: contain it and record the cell as failed.
-                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        self.execute(cell)
-                    }))
-                    .map_err(panic_message);
-                    slots.lock().unwrap()[i] = Some(outcome);
-                    let n = done.fetch_add(1, Ordering::Relaxed) + 1;
-                    self.progress.cell_done(n, total);
-                });
-            }
-        });
-
-        let mut slots = slots.into_inner().unwrap();
+        let finished = AtomicUsize::new(0);
         // Cells were flattened experiment-major, setup-major, run-minor;
-        // consume the slot table back in the same index order.
+        // the fold consumes them back in the same index order.
         let mut per_exp: Vec<Vec<Vec<RunSummary>>> = self
             .experiments
             .iter()
@@ -575,84 +605,59 @@ impl Matrix {
                     .collect()
             })
             .collect();
-        // Decision metrics are all order-independent sums, but fold them
-        // in slot-index order anyway — same discipline as the summaries.
-        let mut decision_metrics = DecisionMetrics::default();
-        let mut serve_metrics = ServeMetrics::default();
-        let mut phase_metrics = PhaseMetrics::default();
-        let mut fleet_metrics = FleetMetrics::default();
-        let mut all_series: Vec<(String, TimeSeries)> = Vec::new();
-        let mut invariants = InvariantCounts {
-            completed: true,
-            ..InvariantCounts::default()
-        };
-        let mut failures = Vec::new();
-        let mut cached = 0;
-        let mut aborted = 0;
-        let mut warm = self.warm.as_ref().map(|w| WarmTelemetry {
+        let warm = self.warm.as_ref().map(|w| WarmTelemetry {
             pause_s: w.pause.as_secs_f64(),
             ..WarmTelemetry::default()
         });
-        for (i, cell) in cells.iter().enumerate() {
-            let e = &self.experiments[cell.exp];
-            match slots[i].take().expect("cell executed") {
-                Ok(done) => {
-                    if done.cached {
-                        cached += 1;
+        let mut telemetry = Telemetry::new(total, warm);
+        let workers = fan_out(
+            total,
+            self.jobs,
+            |i| {
+                // One panicking simulation must not take down the
+                // matrix: contain it and record the cell as failed.
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    self.execute(&cells[i])
+                }))
+                .map_err(panic_message);
+                self.progress
+                    .cell_done(finished.fetch_add(1, Ordering::Relaxed) + 1, total);
+                outcome
+            },
+            |i, outcome| {
+                let cell = &cells[i];
+                let e = &self.experiments[cell.exp];
+                let label = format!(
+                    "{}/{}/{}[run {}]",
+                    e.workload,
+                    e.machine.name,
+                    e.setups[cell.setup].label(),
+                    cell.run
+                );
+                let done = match outcome {
+                    Ok(done) => done,
+                    Err(message) => {
+                        telemetry.failures.push(CellFailure {
+                            cell: label,
+                            message,
+                        });
+                        return;
                     }
-                    if done.aborted {
-                        aborted += 1;
-                    }
-                    if let Some(w) = warm.as_mut() {
-                        if let Some(events) = done.warm_restored {
-                            w.cells_warm += 1;
-                            w.events_saved += events;
-                        }
-                        if done.warm_written {
-                            w.snapshots_written += 1;
-                        }
-                    }
-                    if let Some(d) = done.decision {
-                        decision_metrics.merge(&d);
-                    }
-                    if let Some(s) = done.serve {
-                        serve_metrics.merge(&s);
-                    }
-                    if let Some(p) = done.phases {
-                        phase_metrics.merge(&p);
-                    }
-                    if let Some(f) = done.fleet {
-                        fleet_metrics.merge(&f);
-                    }
-                    if let Some(ts) = done.timeseries {
-                        if !ts.is_empty() {
-                            let label = format!(
-                                "{}/{}/{}[run {}]",
-                                e.workload,
-                                e.machine.name,
-                                e.setups[cell.setup].label(),
-                                cell.run
-                            );
-                            all_series.push((label, ts));
-                        }
-                    }
-                    if let Some(inv) = done.invariants {
-                        invariants.merge(&inv);
-                    }
-                    per_exp[cell.exp][cell.setup].push(done.summary);
+                };
+                match &done.run {
+                    Some(r) => telemetry.absorb(label, r),
+                    None => telemetry.cells_cached += 1,
                 }
-                Err(message) => failures.push(CellFailure {
-                    cell: format!(
-                        "{}/{}/{}[run {}]",
-                        e.workload,
-                        e.machine.name,
-                        e.setups[cell.setup].label(),
-                        cell.run
-                    ),
-                    message,
-                }),
-            }
-        }
+                if let Some(w) = telemetry.warm.as_mut() {
+                    if let Some(events) = done.warm_restored {
+                        w.cells_warm += 1;
+                        w.events_saved += events;
+                    }
+                    w.snapshots_written += usize::from(done.warm_written);
+                }
+                per_exp[cell.exp][cell.setup].push(done.summary);
+            },
+        );
         // A comparison needs at least one surviving run per setup; an
         // experiment that lost a whole setup is dropped (and recorded),
         // while every other experiment's section is kept.
@@ -666,7 +671,7 @@ impl Matrix {
                     summaries,
                 ));
             } else {
-                failures.push(CellFailure {
+                telemetry.failures.push(CellFailure {
                     cell: format!("{}/{}", e.workload, e.machine.name),
                     message: "every run of at least one setup failed; comparison dropped"
                         .to_string(),
@@ -674,32 +679,16 @@ impl Matrix {
             }
         }
 
-        all_series.sort_by(|a, b| a.0.cmp(&b.0));
-        let timeseries_dropped = all_series.len().saturating_sub(TELEMETRY_TIMESERIES_CAP);
-        all_series.truncate(TELEMETRY_TIMESERIES_CAP);
+        // Keep the series of the lexicographically first cell labels (an
+        // order-independent selection).
+        telemetry.timeseries.sort_by(|a, b| a.0.cmp(&b.0));
         // Keep the warm snapshot directory within its configured budget.
         // Eviction happens after the run, so this run's warm hits were
         // unaffected; the oldest snapshots lose their head start first.
         if let (Some(w), Some(cap)) = (&self.warm, warm_cache_cap_from_env()) {
             prune_warm_cache(&w.dir, cap);
         }
-        let telemetry = finish_telemetry(
-            workers,
-            total,
-            cached,
-            started,
-            &prof_before,
-            decision_metrics,
-            serve_metrics,
-            phase_metrics,
-            fleet_metrics,
-            all_series,
-            timeseries_dropped,
-            failures,
-            aborted,
-            invariants,
-            warm,
-        );
+        telemetry.finish(workers, started, &prof_before);
         self.progress.finished(&telemetry);
         (comparisons, telemetry)
     }
@@ -708,17 +697,10 @@ impl Matrix {
     /// carry no decision metrics or invariant tallies (the simulation
     /// never executed).
     fn execute(&self, cell: &Cell) -> CellDone {
-        if let Some(hit) = self.cache.lookup(&cell.key) {
+        if let Some(summary) = self.cache.lookup(&cell.key) {
             return CellDone {
-                summary: hit,
-                cached: true,
-                aborted: false,
-                decision: None,
-                serve: None,
-                phases: None,
-                fleet: None,
-                timeseries: None,
-                invariants: None,
+                summary,
+                run: None,
                 warm_restored: None,
                 warm_written: false,
             };
@@ -762,14 +744,7 @@ impl Matrix {
         }
         CellDone {
             summary,
-            cached: false,
-            aborted: result.aborted,
-            decision: Some(result.decision),
-            serve: Some(result.serve),
-            phases: Some(result.phases),
-            fleet: result.fleet.map(|f| f.metrics),
-            timeseries: Some(result.timeseries),
-            invariants: Some(result.invariants),
+            run: Some(result),
             warm_restored,
             warm_written,
         }
@@ -901,70 +876,18 @@ pub struct RawCell {
 pub fn run_raw(cells: Vec<RawCell>, jobs: usize) -> (Vec<RunResult>, Telemetry) {
     let started = Instant::now();
     let prof_before = profile::snapshot();
-    let total = cells.len();
-    let slots: Mutex<Vec<Option<RunResult>>> = Mutex::new((0..total).map(|_| None).collect());
-    let cursor = AtomicUsize::new(0);
-    let workers = jobs.max(1).min(total.max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(cell) = cells.get(i) else { break };
-                let workload = (cell.make)();
-                let result = run_once(&cell.cfg, workload.as_ref());
-                slots.lock().unwrap()[i] = Some(result);
-            });
-        }
-    });
-    let results: Vec<RunResult> = slots
-        .into_inner()
-        .unwrap()
-        .into_iter()
-        .map(|r| r.expect("raw cell executed"))
-        .collect();
-    let mut decision_metrics = DecisionMetrics::default();
-    let mut serve_metrics = ServeMetrics::default();
-    let mut phase_metrics = PhaseMetrics::default();
-    let mut fleet_metrics = FleetMetrics::default();
-    let mut all_series: Vec<(String, TimeSeries)> = Vec::new();
-    let mut invariants = InvariantCounts {
-        completed: true,
-        ..InvariantCounts::default()
-    };
-    for (i, r) in results.iter().enumerate() {
-        decision_metrics.merge(&r.decision);
-        serve_metrics.merge(&r.serve);
-        phase_metrics.merge(&r.phases);
-        if let Some(f) = &r.fleet {
-            fleet_metrics.merge(&f.metrics);
-        }
-        if !r.timeseries.is_empty() && all_series.len() < TELEMETRY_TIMESERIES_CAP {
-            all_series.push((format!("cell {i}"), r.timeseries.clone()));
-        }
-        invariants.merge(&r.invariants);
-    }
-    let timeseries_dropped = results
-        .iter()
-        .filter(|r| !r.timeseries.is_empty())
-        .count()
-        .saturating_sub(all_series.len());
-    let telemetry = finish_telemetry(
-        workers,
-        total,
-        0,
-        started,
-        &prof_before,
-        decision_metrics,
-        serve_metrics,
-        phase_metrics,
-        fleet_metrics,
-        all_series,
-        timeseries_dropped,
-        Vec::new(),
-        results.iter().filter(|r| r.aborted).count(),
-        invariants,
-        None,
+    let mut telemetry = Telemetry::new(cells.len(), None);
+    let mut results = Vec::with_capacity(cells.len());
+    let workers = fan_out(
+        cells.len(),
+        jobs,
+        |i| run_once(&cells[i].cfg, (cells[i].make)().as_ref()),
+        |i, r| {
+            telemetry.absorb(format!("cell {i}"), &r);
+            results.push(r);
+        },
     );
+    telemetry.finish(workers, started, &prof_before);
     (results, telemetry)
 }
 
@@ -1391,6 +1314,57 @@ mod tests {
         assert_ne!(id_a, w.identity("cell-b"));
         assert!(id_a.contains("pause_ns=250000000"), "{id_a}");
         assert!(id_a.contains("snap_schema="), "{id_a}");
+    }
+
+    #[test]
+    fn matrix_and_raw_paths_fold_alike() {
+        let scenarios: Vec<Scenario> = ["cfs", "nest"]
+            .iter()
+            .map(|p| {
+                Scenario::parse(
+                    "5218",
+                    p,
+                    "schedutil",
+                    "fleet:hosts=2+serve:rate=2000,requests=150",
+                )
+                .unwrap()
+                .with_seed(7)
+                .with_runs(2)
+            })
+            .collect();
+        let mut m = Matrix::new("test-fold", 7)
+            .with_jobs(2)
+            .with_cache(Cache::disabled())
+            .with_progress(Progress::quiet());
+        m.add_scenarios(&scenarios).unwrap();
+        let (_, via_matrix) = m.run();
+
+        // The same cells in the matrix's flattening order (setup-major,
+        // run-minor) with the matrix's per-cell seeds.
+        let machine = scenarios[0].resolve_machine().name;
+        let workload = scenarios[0].workload_spec().name();
+        let cells: Vec<RawCell> = scenarios
+            .iter()
+            .flat_map(|s| (0..s.runs()).map(move |run| (s, run)))
+            .map(|(s, run)| {
+                let seed = cell_seed(7, &workload, &machine, &s.setup().identity(), run);
+                let spec = s.workload_spec();
+                RawCell {
+                    cfg: s.sim_config().seed(seed),
+                    make: Box::new(move || spec.build()),
+                }
+            })
+            .collect();
+        let (_, via_raw) = run_raw(cells, 2);
+
+        assert_eq!(via_matrix.cells_total, via_raw.cells_total);
+        assert_eq!(via_matrix.decision_metrics, via_raw.decision_metrics);
+        assert_eq!(via_matrix.serve_metrics, via_raw.serve_metrics);
+        assert_eq!(via_matrix.phase_metrics, via_raw.phase_metrics);
+        assert_eq!(via_matrix.fleet_metrics, via_raw.fleet_metrics);
+        assert_eq!(via_matrix.invariants, via_raw.invariants);
+        assert!(via_raw.fleet_metrics.runs > 0 && via_raw.serve_metrics.runs > 0);
+        assert!(via_raw.invariants.completed);
     }
 
     #[test]

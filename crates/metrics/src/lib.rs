@@ -31,5 +31,5 @@ pub use serve::{ServeMetrics, ServeMetricsProbe, ServeSummary, SERVE_METRICS_PRO
 pub use stats::{improvement_pct, improvement_stats, savings_pct, speedup_pct, table4_band, Stats};
 pub use summary::{LatencySummary, RunSummary};
 pub use tail::TailHistogram;
-pub use trace::{ExecutionTrace, ExecutionTraceProbe, Span};
+pub use trace::{ExecutionTrace, Span};
 pub use underload::{UnderloadData, UnderloadProbe, UNDERLOAD_PROBE_KIND};

@@ -1,14 +1,12 @@
-//! Execution-trace collection for the paper's core/frequency trace plots
-//! (Figures 2, 8, 9).
+//! Execution traces for the paper's core/frequency trace plots (Figures
+//! 2, 8, 9).
 //!
-//! Records, for each core, the busy spans with the frequency in effect,
-//! splitting spans on frequency changes, and renders an ASCII heat strip
-//! usable in harness output.
+//! Rebuilds, for each core, the busy spans with the frequency in effect
+//! from a captured run/frequency event stream, splitting spans on
+//! frequency changes, and renders an ASCII heat strip usable in harness
+//! output.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use nest_simcore::{Freq, Probe, Time, TraceEvent};
+use nest_simcore::{Freq, Time, TraceEvent};
 
 /// One busy span of a core at a fixed frequency.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -23,7 +21,7 @@ pub struct Span {
     pub freq_ghz: f64,
 }
 
-/// Collected execution trace; obtain via [`ExecutionTraceProbe::new`].
+/// Collected execution trace; build with [`ExecutionTrace::from_events`].
 #[derive(Debug, Default)]
 pub struct ExecutionTrace {
     /// All busy spans, in completion order.
@@ -33,6 +31,52 @@ pub struct ExecutionTrace {
 }
 
 impl ExecutionTrace {
+    /// Rebuilds the busy spans from a run's `RunStart`, `RunStop` and
+    /// `FreqChange` events, in emission order; `freq` holds each core's
+    /// frequency at the start. Spans still open at `duration` close
+    /// there; zero-length spans and all other events are dropped.
+    pub fn from_events(
+        freq: Vec<Freq>,
+        events: &[(Time, TraceEvent)],
+        duration: Time,
+    ) -> ExecutionTrace {
+        // Per core: when its open busy span started, and its frequency.
+        let mut cores: Vec<(Option<Time>, Freq)> = freq.into_iter().map(|f| (None, f)).collect();
+        let mut spans = Vec::new();
+        // Closes core `c`'s open span at `now`, reopening it when `reopen`.
+        let mut close =
+            |c: usize, (busy_since, freq): &mut (Option<Time>, Freq), now, reopen: bool| {
+                if let Some(start) = *busy_since {
+                    if now > start {
+                        spans.push(Span {
+                            core: c as u32,
+                            start,
+                            end: now,
+                            freq_ghz: freq.as_ghz(),
+                        });
+                    }
+                    *busy_since = reopen.then_some(now);
+                }
+            };
+        for &(now, ref event) in events {
+            match *event {
+                TraceEvent::RunStart { core, .. } => cores[core.index()].0 = Some(now),
+                TraceEvent::RunStop { core, .. } => {
+                    close(core.index(), &mut cores[core.index()], now, false)
+                }
+                TraceEvent::FreqChange { core, freq } => {
+                    close(core.index(), &mut cores[core.index()], now, true);
+                    cores[core.index()].1 = freq;
+                }
+                _ => {}
+            }
+        }
+        for (c, state) in cores.iter_mut().enumerate() {
+            close(c, state, duration, false);
+        }
+        ExecutionTrace { spans, duration }
+    }
+
     /// Cores that ran anything, ascending.
     pub fn cores_used(&self) -> Vec<u32> {
         let mut cores: Vec<u32> = self.spans.iter().map(|s| s.core).collect();
@@ -93,106 +137,46 @@ impl ExecutionTrace {
     }
 }
 
-/// Probe recording busy spans with frequencies.
-pub struct ExecutionTraceProbe {
-    data: Rc<RefCell<ExecutionTrace>>,
-    busy_since: Vec<Option<Time>>,
-    freq: Vec<Freq>,
-    spans: Vec<Span>,
-}
-
-impl ExecutionTraceProbe {
-    /// Creates the probe with all cores initially at `initial` frequency.
-    pub fn new(
-        n_cores: usize,
-        initial: Freq,
-    ) -> (ExecutionTraceProbe, Rc<RefCell<ExecutionTrace>>) {
-        let data = Rc::new(RefCell::new(ExecutionTrace::default()));
-        (
-            ExecutionTraceProbe {
-                data: Rc::clone(&data),
-                busy_since: vec![None; n_cores],
-                freq: vec![initial; n_cores],
-                spans: Vec::new(),
-            },
-            data,
-        )
-    }
-
-    fn close(&mut self, core: usize, now: Time, reopen: bool) {
-        if let Some(start) = self.busy_since[core] {
-            if now > start {
-                self.spans.push(Span {
-                    core: core as u32,
-                    start,
-                    end: now,
-                    freq_ghz: self.freq[core].as_ghz(),
-                });
-            }
-            self.busy_since[core] = reopen.then_some(now);
-        }
-    }
-}
-
-impl Probe for ExecutionTraceProbe {
-    fn on_event(&mut self, now: Time, event: &TraceEvent) {
-        match event {
-            TraceEvent::RunStart { core, .. } => {
-                self.busy_since[core.index()] = Some(now);
-            }
-            TraceEvent::RunStop { core, .. } => {
-                self.close(core.index(), now, false);
-            }
-            TraceEvent::FreqChange { core, freq } => {
-                self.close(core.index(), now, true);
-                self.freq[core.index()] = *freq;
-            }
-            _ => {}
-        }
-    }
-
-    fn on_finish(&mut self, now: Time) {
-        for c in 0..self.busy_since.len() {
-            self.close(c, now, false);
-        }
-        let mut d = self.data.borrow_mut();
-        d.spans = std::mem::take(&mut self.spans);
-        d.duration = now;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use nest_simcore::{CoreId, StopReason, TaskId};
 
+    fn start(ms: u64, core: u32) -> (Time, TraceEvent) {
+        let event = TraceEvent::RunStart {
+            task: TaskId(0),
+            core: CoreId(core),
+        };
+        (Time::from_millis(ms), event)
+    }
+
+    fn stop(ms: u64, core: u32, reason: StopReason) -> (Time, TraceEvent) {
+        let event = TraceEvent::RunStop {
+            task: TaskId(0),
+            core: CoreId(core),
+            reason,
+        };
+        (Time::from_millis(ms), event)
+    }
+
     #[test]
     fn records_spans_split_on_freq_change() {
-        let (mut p, d) = ExecutionTraceProbe::new(4, Freq::from_ghz(1.0));
-        p.on_event(
-            Time::ZERO,
-            &TraceEvent::RunStart {
-                task: TaskId(0),
-                core: CoreId(2),
-            },
-        );
-        p.on_event(
-            Time::from_millis(3),
-            &TraceEvent::FreqChange {
-                core: CoreId(2),
-                freq: Freq::from_ghz(3.0),
-            },
-        );
-        p.on_event(
+        let events = [
+            start(0, 2),
+            (
+                Time::from_millis(3),
+                TraceEvent::FreqChange {
+                    core: CoreId(2),
+                    freq: Freq::from_ghz(3.0),
+                },
+            ),
+            stop(7, 2, StopReason::Exit),
+        ];
+        let d = ExecutionTrace::from_events(
+            vec![Freq::from_ghz(1.0); 4],
+            &events,
             Time::from_millis(7),
-            &TraceEvent::RunStop {
-                task: TaskId(0),
-                core: CoreId(2),
-                reason: StopReason::Exit,
-            },
         );
-        p.on_finish(Time::from_millis(7));
-        let d = d.borrow();
         assert_eq!(d.spans.len(), 2);
         assert_eq!(d.spans[0].freq_ghz, 1.0);
         assert_eq!(d.spans[1].freq_ghz, 3.0);
@@ -200,6 +184,18 @@ mod tests {
         // 3 ms at 1 GHz, 4 ms at 3 GHz.
         assert!((d.busy_fraction_in(0.0, 1.5) - 3.0 / 7.0).abs() < 1e-9);
         assert!((d.busy_fraction_in(1.5, 3.5) - 4.0 / 7.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn spans_open_at_the_end_close_there() {
+        let d = ExecutionTrace::from_events(
+            vec![Freq::from_ghz(2.0); 2],
+            &[start(1, 1)],
+            Time::from_millis(4),
+        );
+        assert_eq!(d.spans.len(), 1);
+        assert_eq!(d.spans[0].start, Time::from_millis(1));
+        assert_eq!(d.spans[0].end, Time::from_millis(4));
     }
 
     #[test]
@@ -227,26 +223,18 @@ mod tests {
 
     #[test]
     fn ascii_render_has_one_row_per_core() {
-        let (mut p, d) = ExecutionTraceProbe::new(4, Freq::from_ghz(2.0));
-        for core in [0u32, 3] {
-            p.on_event(
-                Time::ZERO,
-                &TraceEvent::RunStart {
-                    task: TaskId(0),
-                    core: CoreId(core),
-                },
-            );
-            p.on_event(
-                Time::from_millis(1),
-                &TraceEvent::RunStop {
-                    task: TaskId(0),
-                    core: CoreId(core),
-                    reason: StopReason::Exit,
-                },
-            );
-        }
-        p.on_finish(Time::from_millis(2));
-        let s = d.borrow().render_ascii(500_000, 4.0);
+        let events = [
+            start(0, 0),
+            stop(1, 0, StopReason::Exit),
+            start(0, 3),
+            stop(1, 3, StopReason::Exit),
+        ];
+        let d = ExecutionTrace::from_events(
+            vec![Freq::from_ghz(2.0); 4],
+            &events,
+            Time::from_millis(2),
+        );
+        let s = d.render_ascii(500_000, 4.0);
         assert_eq!(s.lines().count(), 2);
         assert!(s.contains("core    0 |"));
         assert!(s.contains('5'), "2.0/4.0 GHz renders as level 5: {s}");
@@ -254,23 +242,9 @@ mod tests {
 
     #[test]
     fn zero_length_spans_are_dropped() {
-        let (mut p, d) = ExecutionTraceProbe::new(1, Freq::from_ghz(1.0));
-        p.on_event(
-            Time::ZERO,
-            &TraceEvent::RunStart {
-                task: TaskId(0),
-                core: CoreId(0),
-            },
-        );
-        p.on_event(
-            Time::ZERO,
-            &TraceEvent::RunStop {
-                task: TaskId(0),
-                core: CoreId(0),
-                reason: StopReason::Block,
-            },
-        );
-        p.on_finish(Time::from_millis(1));
-        assert!(d.borrow().spans.is_empty());
+        let events = [start(0, 0), stop(0, 0, StopReason::Block)];
+        let d =
+            ExecutionTrace::from_events(vec![Freq::from_ghz(1.0)], &events, Time::from_millis(1));
+        assert!(d.spans.is_empty());
     }
 }

@@ -2,7 +2,9 @@
 # Byte-identity guard: regenerate representative artifacts (Figures 2,
 # 4 and 10, Table 4, the serve tail sweep, the latency-attribution
 # sweep, a faulted run, and a snapshot/replay continuation) in quick
-# mode and compare their hashes against the committed golden set.
+# mode and compare their hashes against the committed golden set, along
+# with `nest-sim stats --json` of a served fleet and the deterministic
+# part of five telemetry sidecars.
 #
 # The harness's determinism contract says artifact bytes depend only on
 # the seed and the simulation inputs — never on worker count, cache
@@ -58,11 +60,33 @@ cargo run --release -q -p nest-bench --bin nest-sim -- \
     --machine 5218 --policy nest --governor schedutil \
     --workload configure:gdb --seed 42 --out replay_pin >/dev/null
 
-(cd "$outdir" && sha256sum fig02_trace.json fig04_underload.json \
-    fig10_dacapo_speedup.json table4_overview.json fig_serve_tail.json \
-    fig_attribution.json faulted_pin.json synth_pin.json replay_pin.json \
-    fig_fleet_failover.json) \
-    > "$outdir/actual.sha256"
+# `nest-sim stats --json` of a served fleet rides along: its decision,
+# serve, phase and fleet blocks come from the same fold and serializer
+# as the telemetry sidecars below.
+echo "==> regenerating stats_pin (nest-sim stats --json on a served fleet)"
+cargo run --release -q -p nest-bench --bin nest-sim -- \
+    stats --machine 5218 --policy nest --governor schedutil --runs 2 \
+    --workload "fleet:hosts=2,lb=warmth,retry=1,timeout=50ms,hedge=p95,hostdown=1@50ms:50ms+serve:rate=2000,dist=lognorm,requests=300" \
+    --json > "$outdir/stats_pin.json"
+
+# Telemetry sidecars are pinned too, minus the three host-dependent
+# lines (worker count, wall-clock, throughput): everything else in them
+# is a deterministic fold over the simulated cells.
+mkdir -p "$outdir/telemetry"
+for name in fig02_trace fig04_underload fig_attribution fig_fleet_failover faulted_pin; do
+    grep -vE '^\s*"(jobs|wall_s|events_per_sec)":' "$outdir/$name.telemetry.json" \
+        > "$outdir/telemetry/$name.telemetry.json"
+done
+
+{
+    (cd "$outdir" && sha256sum fig02_trace.json fig04_underload.json \
+        fig10_dacapo_speedup.json table4_overview.json fig_serve_tail.json \
+        fig_attribution.json faulted_pin.json synth_pin.json replay_pin.json \
+        fig_fleet_failover.json stats_pin.json)
+    (cd "$outdir/telemetry" && sha256sum fig02_trace.telemetry.json \
+        fig04_underload.telemetry.json fig_attribution.telemetry.json \
+        fig_fleet_failover.telemetry.json faulted_pin.telemetry.json)
+} > "$outdir/actual.sha256"
 
 if [[ "${1:-}" == "--update" ]]; then
     cp "$outdir/actual.sha256" "$golden"
