@@ -3,8 +3,8 @@
 #
 # Runs the same checks as .github/workflows/ci.yml, in order of
 # increasing cost, stopping at the first failure. No step needs network
-# access: the workspace has no external dependencies (property tests are
-# gated behind an off-by-default feature).
+# access: the workspace has no external dependencies and no cargo
+# features (the property tests run on the in-tree `SimRng` generator).
 #
 # Usage: ./ci.sh
 set -euo pipefail
@@ -146,22 +146,25 @@ if grep -q '"cells_warm": 0,' "$warmdir/warm2/fig04_underload.telemetry.json"; t
 fi
 echo "==> warm-start artifacts byte-identical; second pass restored snapshots"
 
-# Hierarchical domains (PR 8): a 512-core synthetic multi-CCX machine
-# runs end to end under every policy including the domain-local Nest,
-# and the quick-mode scaling sweep stays within the committed
-# BENCH_pr8.json envelope (exact event counts; generous wall-clock
-# ratio).
+# Hierarchical domains: a 512-core synthetic multi-CCX machine runs end
+# to end under every policy including the domain-local Nest.
 NEST_CACHE=off NEST_PROGRESS=0 NEST_RESULTS_DIR="$(mktemp -d)" \
     step cargo run --release -q -p nest-bench --bin nest-sim -- \
     run --machine "synth:sockets=4,ccx=8,cores=16,numa=ring" \
     --policy cfs --policy nest --policy "nest:domain=ccx" --policy smove \
     --governor schedutil --workload "schbench:mt=32,w=15,requests=20" --runs 1
-step ./scripts/check_scale_regression.sh
 
 # Byte-identity guard: fig02/fig04/fig10/table4/fig_serve_tail/
-# fig_attribution/faulted/synth/replay artifacts vs committed golden
-# hashes.
+# fig_attribution/fig_scale/faulted/synth/replay artifacts vs committed
+# golden hashes.
 step ./scripts/verify_artifacts.sh
+
+# Exact work counts: one traced perfbench round per workload at seed 42
+# must reproduce every digest and exact count in perfbench/expected.json
+# (exits non-zero on any drift). Wall-clock regressions are judged by
+# the benchmark's own runs, not here.
+step cargo run --quiet --offline --release --manifest-path perfbench/Cargo.toml -- \
+    --seed 42 --seconds 0 --trace 1
 
 echo
 echo "==> CI gate passed"

@@ -10,9 +10,9 @@
 //!   mean, migrations/s split into cross-CCX and cross-socket rates, and
 //!   the mean busiest-CCX nest occupancy — the numbers that must stay flat
 //!   (or improve) as the scan structures shard by domain;
-//! * **throughput** (nondeterministic, `fig_scale.perf.json` sidecar):
-//!   wall seconds and simulated events/s, the scaling curve the CI
-//!   regression guard compares against the committed `BENCH_pr8.json`.
+//! * **throughput** (nondeterministic, printed only): wall seconds and
+//!   simulated events/s. Wall-clock regressions are gated by `perfbench`
+//!   (its `scale_1024` workload), not by this binary.
 //!
 //! Quick mode (`NEST_QUICK=1`) restricts to the 256-core machine.
 
@@ -21,7 +21,7 @@ use std::time::Instant;
 use nest_bench::{banner, metric_row, quick, seed};
 use nest_core::{run_once, SimConfig};
 use nest_harness::json::obj;
-use nest_harness::{results_dir, Artifact, Json};
+use nest_harness::{Artifact, Json};
 use nest_simcore::profile;
 
 /// `(machine, workload)` pairs: the schbench load scales with the core
@@ -64,7 +64,6 @@ struct Cell {
     busiest_ccx_nest: f64,
     // Nondeterministic throughput numbers.
     wall_s: f64,
-    events_total: u64,
     events_per_sec: f64,
 }
 
@@ -101,7 +100,6 @@ fn run_cell(machine_str: &str, policy_str: &str, workload_str: &str) -> Cell {
         cross_socket_per_sec: d.cross_socket_migrations_per_sec(),
         busiest_ccx_nest,
         wall_s,
-        events_total,
         events_per_sec: if wall_s > 0.0 {
             events_total as f64 / wall_s
         } else {
@@ -192,41 +190,5 @@ fn main() {
     match a.write() {
         Ok(path) => println!("\nartifact: {}", path.display()),
         Err(e) => eprintln!("warning: could not write fig_scale artifact: {e}"),
-    }
-
-    // Nondeterministic throughput sidecar (wall-clock; never hashed).
-    let perf = Json::Obj(vec![
-        ("figure".to_string(), Json::str("fig_scale")),
-        ("schema".to_string(), Json::u64(1)),
-        ("seed".to_string(), Json::u64(seed())),
-        ("quick".to_string(), Json::Bool(quick())),
-        (
-            "cells".to_string(),
-            Json::Arr(
-                cells
-                    .iter()
-                    .map(|c| {
-                        obj(vec![
-                            ("machine", Json::str(&c.machine)),
-                            ("policy", Json::str(&c.policy)),
-                            ("n_cores", Json::usize(c.n_cores)),
-                            ("wall_s", Json::f64(c.wall_s)),
-                            ("events_total", Json::u64(c.events_total)),
-                            ("events_per_sec", Json::f64(c.events_per_sec)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]);
-    let path = results_dir().join("fig_scale.perf.json");
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    let mut text = perf.to_pretty();
-    text.push('\n');
-    match std::fs::write(&path, text) {
-        Ok(()) => println!("perf sidecar: {}", path.display()),
-        Err(e) => eprintln!("warning: could not write fig_scale perf sidecar: {e}"),
     }
 }

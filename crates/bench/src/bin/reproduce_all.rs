@@ -10,14 +10,9 @@
 //!
 //! The summary table folds in each section's `.telemetry.json` sidecar:
 //! simulated events per second (the engine's throughput metric, see
-//! EXPERIMENTS.md) and the result-cache hit ratio.
-//!
-//! `--bench` puts the run in benchmark mode: sections run with the result
-//! cache off and the self-profiler on (`NEST_CACHE=off NEST_PROFILE=1`),
-//! so every section reports fresh-simulation throughput and per-subsystem
-//! wall time (see PROFILING.md), and the per-section throughput summary is
-//! additionally written to `results/bench.json` — the measurement that
-//! feeds the `BENCH_*.json` perf-trajectory files at the repo root.
+//! EXPERIMENTS.md) and the result-cache hit ratio. Run it with
+//! `NEST_CACHE=off NEST_PROFILE=1` to measure fresh-simulation throughput
+//! and per-subsystem wall time (see PROFILING.md).
 
 use std::process::Command;
 use std::time::Instant;
@@ -62,7 +57,7 @@ struct SectionTelemetry {
     invariant_violations: u64,
 }
 
-fn run(bin: &'static str, bench: bool) -> SectionResult {
+fn run(bin: &'static str) -> SectionResult {
     println!("\n################ {bin} ################\n");
     let started = Instant::now();
     let exe = std::env::current_exe()
@@ -70,20 +65,14 @@ fn run(bin: &'static str, bench: bool) -> SectionResult {
         .and_then(|p| p.parent().map(|d| d.join(bin)));
     let outcome = match exe {
         None => Err("could not locate sibling binary".to_string()),
-        Some(path) => {
-            let mut cmd = Command::new(&path);
-            if bench {
-                cmd.env("NEST_CACHE", "off").env("NEST_PROFILE", "1");
-            }
-            match cmd.status() {
-                Err(e) => Err(format!("failed to launch: {e}")),
-                Ok(status) if status.success() => Ok(()),
-                Ok(status) => Err(match status.code() {
-                    Some(code) => format!("exit code {code}"),
-                    None => "terminated by signal".to_string(),
-                }),
-            }
-        }
+        Some(path) => match Command::new(&path).status() {
+            Err(e) => Err(format!("failed to launch: {e}")),
+            Ok(status) if status.success() => Ok(()),
+            Ok(status) => Err(match status.code() {
+                Some(code) => format!("exit code {code}"),
+                None => "terminated by signal".to_string(),
+            }),
+        },
     };
     SectionResult {
         bin,
@@ -174,30 +163,6 @@ fn write_summary(results: &[SectionResult], wall_s: f64) {
     write_json(&results_dir().join("reproduce_all.telemetry.json"), root);
 }
 
-/// In `--bench` mode: the per-section throughput record, the raw material
-/// for the repo-root `BENCH_*.json` perf trajectory (see EXPERIMENTS.md).
-fn write_bench(results: &[SectionResult]) {
-    let sections: Vec<(String, Json)> = results
-        .iter()
-        .filter_map(|r| {
-            let t = r.telemetry.as_ref()?;
-            Some((
-                r.bin.to_string(),
-                Json::Obj(vec![
-                    ("wall_s".to_string(), Json::f64(r.elapsed_s)),
-                    ("events_total".to_string(), Json::u64(t.events_total)),
-                    ("events_per_sec".to_string(), Json::f64(t.events_per_sec)),
-                ]),
-            ))
-        })
-        .collect();
-    let root = Json::Obj(vec![
-        ("schema".to_string(), Json::u64(1)),
-        ("sections".to_string(), Json::Obj(sections)),
-    ]);
-    write_json(&results_dir().join("bench.json"), root);
-}
-
 fn write_json(path: &std::path::Path, root: Json) {
     if let Some(dir) = path.parent() {
         let _ = std::fs::create_dir_all(dir);
@@ -211,9 +176,8 @@ fn write_json(path: &std::path::Path, root: Json) {
 }
 
 fn main() {
-    let bench = std::env::args().any(|a| a == "--bench");
     let started = Instant::now();
-    let results: Vec<SectionResult> = SECTIONS.iter().map(|bin| run(bin, bench)).collect();
+    let results: Vec<SectionResult> = SECTIONS.iter().map(|bin| run(bin)).collect();
     let wall_s = started.elapsed().as_secs_f64();
 
     println!("\n################ summary ################\n");
@@ -246,17 +210,13 @@ fn main() {
     }
     let failed: Vec<&SectionResult> = results.iter().filter(|r| r.outcome.is_err()).collect();
     println!(
-        "\n{} of {} sections succeeded in {:.1}s ({} jobs{})",
+        "\n{} of {} sections succeeded in {:.1}s ({} jobs)",
         results.len() - failed.len(),
         results.len(),
         wall_s,
         nest_harness::jobs(),
-        if bench { ", bench mode" } else { "" }
     );
     write_summary(&results, wall_s);
-    if bench {
-        write_bench(&results);
-    }
 
     // Cell-level failures: the section's harness contained a panicking
     // cell and finished the rest, so its artifact exists but is partial.

@@ -164,22 +164,6 @@ where
     Box::new(move || Box::new(make()))
 }
 
-/// Runs one workload spec across the figure machines under the given
-/// `(policy, governor)` pairs, returning one comparison per machine. All
-/// machines execute in one matrix so the worker pool spans the whole
-/// figure.
-pub fn sweep_machines(
-    figure: &str,
-    pairs: &[(&str, &str)],
-    workload: &str,
-) -> (Vec<Comparison>, Telemetry) {
-    let mut m = matrix(figure);
-    for key in figure_machine_keys() {
-        add_block(&mut m, key, pairs, workload, None);
-    }
-    m.run()
-}
-
 /// Runs the full §5.2 configure matrix: 11 benchmarks × machines ×
 /// scheduler pairs, as one harness matrix. Returns `(machine name,
 /// benchmark comparisons)` pairs plus the run telemetry.

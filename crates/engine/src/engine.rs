@@ -1298,11 +1298,6 @@ impl Engine {
             }
         }
     }
-
-    /// Returns a task's label (diagnostics, tests).
-    pub fn task_label(&self, task: TaskId) -> &str {
-        &self.tasks[task.index()].label
-    }
 }
 
 // `pending_core` is split out to keep `place`/`on_commit` simple: it maps a

@@ -114,8 +114,8 @@ impl Artifact {
     }
 
     /// Writes the nondeterministic run telemetry to
-    /// `results/<name>.telemetry.json`, and — when the run carried a
-    /// profile (`NEST_PROFILE=1`) — merges it into `results/profile.json`.
+    /// `results/<name>.telemetry.json`, including the profile block when
+    /// the run carried one (`NEST_PROFILE=1`).
     pub fn write_telemetry(&self, t: &Telemetry) -> io::Result<PathBuf> {
         let mut fields = vec![
             ("figure", Json::str(&self.name)),
@@ -172,14 +172,10 @@ impl Artifact {
         if let Some(p) = &t.profile {
             fields.push(("profile", profile_json(p)));
         }
-        let path = write_file(
+        write_file(
             &results_dir().join(format!("{}.telemetry.json", self.name)),
             &obj(fields),
-        )?;
-        if t.profile.is_some() {
-            merge_into_profile_artifact(&self.name, t)?;
-        }
-        Ok(path)
+        )
     }
 }
 
@@ -221,38 +217,6 @@ fn profile_json(p: &nest_simcore::profile::Snapshot) -> Json {
         ("events", Json::u64(p.events)),
         ("subsystems", Json::Arr(subsystems)),
     ])
-}
-
-/// Merges one figure's profiled telemetry into `results/profile.json`,
-/// which accumulates the latest profile per figure (sorted by figure name
-/// so the file is canonical for a given set of runs).
-fn merge_into_profile_artifact(figure: &str, t: &Telemetry) -> io::Result<()> {
-    let Some(p) = &t.profile else { return Ok(()) };
-    let path = results_dir().join("profile.json");
-    let mut figures: Vec<(String, Json)> = match std::fs::read_to_string(&path) {
-        Ok(text) => match crate::json::parse(&text).map(|j| j.get("figures").cloned()) {
-            Ok(Some(Json::Obj(fields))) => fields,
-            _ => Vec::new(),
-        },
-        Err(_) => Vec::new(),
-    };
-    let entry = obj(vec![
-        ("wall_s", Json::f64(t.wall_s)),
-        ("events_total", Json::u64(t.events_total)),
-        ("events_per_sec", Json::f64(t.events_per_sec)),
-        ("profile", profile_json(p)),
-    ]);
-    match figures.iter_mut().find(|(name, _)| name == figure) {
-        Some(slot) => slot.1 = entry,
-        None => figures.push((figure.to_string(), entry)),
-    }
-    figures.sort_by(|a, b| a.0.cmp(&b.0));
-    let root = obj(vec![
-        ("schema", Json::u64(1)),
-        ("figures", Json::Obj(figures)),
-    ]);
-    write_file(&path, &root)?;
-    Ok(())
 }
 
 fn write_file(path: &Path, root: &Json) -> io::Result<PathBuf> {

@@ -93,11 +93,6 @@ impl Cache {
         }
     }
 
-    /// Whether lookups/stores do anything.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     fn entry_path(&self, key: &str) -> PathBuf {
         self.dir.join(format!("{key}.json"))
     }

@@ -126,11 +126,6 @@ impl Pelt {
         self.value * d + contrib
     }
 
-    /// Returns whether the entity is currently marked running.
-    pub fn is_running(&self) -> bool {
-        self.running
-    }
-
     /// Returns the raw `(value, running, last_update)` state for a
     /// snapshot. `value` is the *stored* average as of `last_update`,
     /// not the lazily decayed current value — exactly what

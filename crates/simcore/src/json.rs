@@ -327,12 +327,16 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
             }
             Some(_) => {
-                // Advance by one UTF-8 character.
-                let rest = std::str::from_utf8(&b[*pos..])
+                // Copy the run up to the next quote or backslash. Both are
+                // ASCII, so the run ends on a character boundary.
+                let start = *pos;
+                *pos = b[start..]
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .map_or(b.len(), |n| start + n);
+                let run = std::str::from_utf8(&b[start..*pos])
                     .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                out.push_str(run);
             }
         }
     }
@@ -467,6 +471,9 @@ mod tests {
     #[test]
     fn unicode_passthrough() {
         let v = Json::str("héllo → 世界");
+        assert_eq!(parse(&v.to_pretty()).expect("parses"), v);
+        // Escapes directly next to multi-byte runs.
+        let v = Json::str("a\"é\\n世\u{1}");
         assert_eq!(parse(&v.to_pretty()).expect("parses"), v);
     }
 }

@@ -5,7 +5,7 @@
 //! process-wide atomic counters so that every engine on every harness
 //! worker thread feeds the same totals. The harness snapshots the counters
 //! around a figure run and emits the delta into the figure's
-//! `.telemetry.json` sidecar and into `results/profile.json`.
+//! `.telemetry.json` sidecar.
 //!
 //! Two cost tiers keep the hot path honest:
 //!

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Byte-identity guard: regenerate representative artifacts (Figures 2,
 # 4 and 10, Table 4, the serve tail sweep, the latency-attribution
-# sweep, a faulted run, and a snapshot/replay continuation) in quick
-# mode and compare their hashes against the committed golden set, along
-# with `nest-sim stats --json` of a served fleet and the deterministic
-# part of five telemetry sidecars.
+# sweep, the 256-core scaling sweep, a faulted run, and a snapshot/replay
+# continuation) in quick mode and compare their hashes against the
+# committed golden set, along with `nest-sim stats --json` of a served
+# fleet and the deterministic part of five telemetry sidecars.
 #
 # The harness's determinism contract says artifact bytes depend only on
 # the seed and the simulation inputs — never on worker count, cache
@@ -25,7 +25,7 @@ export NEST_QUICK=1 NEST_RUNS=1 NEST_SEED=42 NEST_CACHE=off
 export NEST_PROGRESS=0 NEST_RESULTS_DIR="$outdir"
 unset NEST_JOBS 2>/dev/null || true
 
-for bin in fig02_trace fig04_underload fig10_dacapo_speedup table4_overview fig_serve_tail fig_attribution fig_fleet_failover; do
+for bin in fig02_trace fig04_underload fig10_dacapo_speedup table4_overview fig_serve_tail fig_attribution fig_fleet_failover fig_scale; do
     echo "==> regenerating $bin (quick mode)"
     cargo run --release -q -p nest-bench --bin "$bin" >/dev/null
 done
@@ -82,7 +82,7 @@ done
     (cd "$outdir" && sha256sum fig02_trace.json fig04_underload.json \
         fig10_dacapo_speedup.json table4_overview.json fig_serve_tail.json \
         fig_attribution.json faulted_pin.json synth_pin.json replay_pin.json \
-        fig_fleet_failover.json stats_pin.json)
+        fig_fleet_failover.json stats_pin.json fig_scale.json)
     (cd "$outdir/telemetry" && sha256sum fig02_trace.telemetry.json \
         fig04_underload.telemetry.json fig_attribution.telemetry.json \
         fig_fleet_failover.telemetry.json faulted_pin.telemetry.json)
