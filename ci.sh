@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Offline CI gate for the nest reproduction workspace.
 #
-# Runs the same checks as .github/workflows/ci.yml, in order of
-# increasing cost, stopping at the first failure. No step needs network
-# access: the workspace has no external dependencies and no cargo
-# features (the property tests run on the in-tree `SimRng` generator).
+# The one definition of the CI gate: .github/workflows/ci.yml only checks
+# out, restores the cargo cache, and runs this script. Checks run in
+# order of increasing cost, stopping at the first failure. No step needs
+# network access: the workspace has no external dependencies and no
+# cargo features (the property tests run on the in-tree `SimRng`
+# generator).
 #
 # Usage: ./ci.sh
 set -euo pipefail
@@ -32,11 +34,19 @@ NEST_CACHE=off NEST_PROGRESS=0 NEST_RESULTS_DIR="$(mktemp -d)" \
     run --machine 5220 --policy smove --governor performance \
     --workload schbench:mt=2,w=2,requests=5 --runs 2
 
-# Robustness: the chaos soak runs randomized fault plans under every
-# policy with the invariant checker in fail-fast mode, and a faulted
-# scenario runs end to end through the CLI (exiting non-zero on any
-# cell failure or invariant violation).
-step cargo test --release -q --test chaos_soak
+# Determinism across worker counts: a quick figure writes the same
+# artifact bytes with two workers as with one.
+detdir="$(mktemp -d)"
+detenv=(NEST_QUICK=1 NEST_SEED=5 NEST_CACHE=off NEST_PROGRESS=0)
+step env "${detenv[@]}" NEST_JOBS=2 NEST_RESULTS_DIR="$detdir/j2" \
+    cargo run --release -q -p nest-bench --bin fig05_configure_speedup
+step env "${detenv[@]}" NEST_JOBS=1 NEST_RESULTS_DIR="$detdir/j1" \
+    cargo run --release -q -p nest-bench --bin fig05_configure_speedup
+step cmp "$detdir/j2/fig05_configure_speedup.json" "$detdir/j1/fig05_configure_speedup.json"
+
+# Robustness: a faulted scenario runs end to end through the CLI
+# (exiting non-zero on any cell failure or invariant violation). The
+# chaos soak itself runs with the workspace tests above.
 NEST_CACHE=off NEST_PROGRESS=0 NEST_RESULTS_DIR="$(mktemp -d)" \
     step cargo run --release -q -p nest-bench --bin nest-sim -- \
     run --machine 6130-4 --policy cfs --policy nest --governor schedutil \
@@ -101,28 +111,8 @@ if cargo run --release -q -p nest-bench --bin nest-sim -- \
 fi
 echo "==> telemetry self-compare clean; perturbed diff trips the gate"
 
-# Snapshot/replay equivalence: running from the scenario while
-# snapshotting at a midpoint (mode A) and restoring that snapshot and
-# continuing (mode B) must write byte-identical artifacts, and a
-# corrupted snapshot must be refused with exit 2.
-snapdir="$(mktemp -d)"
-NEST_CACHE=off NEST_PROGRESS=0 NEST_RESULTS_DIR="$snapdir/a" \
-    step cargo run --release -q -p nest-bench --bin nest-sim -- \
-    replay --at 0.05 --snap "$snapdir/warm.snap" \
-    --machine 5218 --policy nest --governor schedutil \
-    --workload configure:gdb --seed 42
-NEST_CACHE=off NEST_PROGRESS=0 NEST_RESULTS_DIR="$snapdir/b" \
-    step cargo run --release -q -p nest-bench --bin nest-sim -- \
-    replay --from "$snapdir/warm.snap"
-step cmp "$snapdir/a/replay.json" "$snapdir/b/replay.json"
-sed 's/"kernel"/"kernell"/' "$snapdir/warm.snap" > "$snapdir/corrupt.snap"
-if NEST_PROGRESS=0 NEST_RESULTS_DIR="$snapdir/c" \
-    cargo run --release -q -p nest-bench --bin nest-sim -- \
-    replay --from "$snapdir/corrupt.snap" 2>/dev/null; then
-    echo "ERROR: corrupted snapshot was accepted" >&2
-    exit 1
-fi
-echo "==> corrupted snapshot refused, as it must be"
+# Snapshot/replay equivalence and the refusal of a corrupted snapshot
+# are checked by the workspace tests (crates/bench/tests/replay_cli.rs).
 
 # Harness warm-start: a figure run with NEST_WARM_START (first pass
 # snapshots, second pass restores) must write the same artifact bytes

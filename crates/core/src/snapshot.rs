@@ -33,7 +33,7 @@ use std::fmt;
 
 use nest_simcore::json::{self, Json};
 use nest_simcore::rng::hash_str;
-use nest_simcore::snap;
+use nest_simcore::snap::{self, Snap};
 use nest_simcore::{BehaviorRegistry, Time};
 use nest_workloads::Workload;
 
@@ -129,6 +129,14 @@ pub struct SnapshotHeader {
     pub checksum: String,
 }
 
+nest_simcore::snap_struct!(SnapshotHeader {
+    "schema": schema,
+    "identity": identity,
+    "at_ns": at_ns,
+    "events": events,
+    "checksum": checksum,
+});
+
 /// Builds the full behaviour-restore registry: simcore's script
 /// behaviour plus every engine, serving, and workload behaviour kind.
 /// Anything [`Engine::snapshot`] can emit, this registry can revive.
@@ -187,15 +195,15 @@ impl PausedSim {
     pub fn snapshot(&self, identity: &str, scenario: Json) -> Result<String, SnapError> {
         let body = self.engine.snapshot().map_err(SnapError::State)?;
         let body_text = body.to_pretty();
-        let header = json::obj(vec![
-            ("schema", Json::u64(SNAPSHOT_SCHEMA)),
-            ("identity", Json::str(identity)),
-            ("at_ns", snap::time_json(self.engine.now())),
-            ("events", Json::u64(self.engine.events_dispatched())),
-            ("checksum", Json::str(&body_checksum(&body_text))),
-        ]);
+        let header = SnapshotHeader {
+            schema: SNAPSHOT_SCHEMA,
+            identity: identity.to_string(),
+            at_ns: self.engine.now().as_nanos(),
+            events: self.engine.events_dispatched(),
+            checksum: body_checksum(&body_text),
+        };
         let doc = json::obj(vec![
-            (HEADER_KEY, header),
+            (HEADER_KEY, header.save()),
             ("scenario", scenario),
             ("body", body),
         ]);
@@ -244,26 +252,16 @@ pub fn read_header(text: &str) -> Result<(SnapshotHeader, Json), SnapError> {
     let header = doc
         .get(HEADER_KEY)
         .ok_or_else(|| SnapError::Parse(format!("missing \"{HEADER_KEY}\" header block")))?;
-    let schema = snap::get_u64(header, "schema").map_err(SnapError::Parse)?;
+    // The schema is checked before anything else is read: an older
+    // header may differ in more than its version.
+    let schema: u64 = snap::load(header, "schema").map_err(SnapError::Parse)?;
     if schema != SNAPSHOT_SCHEMA {
         return Err(SnapError::SchemaMismatch {
             found: schema,
             expect: SNAPSHOT_SCHEMA,
         });
     }
-    let parsed = SnapshotHeader {
-        schema,
-        identity: snap::get_str(header, "identity")
-            .map_err(SnapError::Parse)?
-            .to_string(),
-        at_ns: snap::get_time(header, "at_ns")
-            .map_err(SnapError::Parse)?
-            .as_nanos(),
-        events: snap::get_u64(header, "events").map_err(SnapError::Parse)?,
-        checksum: snap::get_str(header, "checksum")
-            .map_err(SnapError::Parse)?
-            .to_string(),
-    };
+    let parsed = SnapshotHeader::load(header).map_err(SnapError::Parse)?;
     let body = doc
         .get("body")
         .ok_or_else(|| SnapError::Parse("missing \"body\" block".to_string()))?;
@@ -427,6 +425,30 @@ mod tests {
             .err()
             .unwrap();
         assert!(matches!(err, SnapError::ChecksumMismatch { .. }), "{err}");
+    }
+
+    /// The field `key` of a JSON object, mutably.
+    fn field_mut<'a>(obj: &'a mut Json, key: &str) -> &'a mut Json {
+        match obj {
+            Json::Obj(fields) => &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1,
+            other => panic!("not an object: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_out_of_range_core_is_a_state_error_not_a_panic() {
+        // A body that passes the checksum but names a core the machine
+        // does not have must be refused by the kernel's own bound check.
+        let mut doc = json::parse(&snap_at(Time::from_millis(40))).unwrap();
+        let body = field_mut(&mut doc, "body");
+        *field_mut(field_mut(body, "kernel"), "online") = json::parse("[9999]").unwrap();
+        let checksum = Json::str(&body_checksum(&body.to_pretty()));
+        *field_mut(field_mut(&mut doc, HEADER_KEY), "checksum") = checksum;
+        let err = restore(&cfg(), &Configure::named("gdb"), &doc.to_pretty(), IDENTITY)
+            .err()
+            .unwrap();
+        assert!(matches!(err, SnapError::State(_)), "{err}");
+        assert!(err.to_string().contains("9999"), "{err}");
     }
 
     #[test]

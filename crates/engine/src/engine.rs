@@ -26,8 +26,9 @@ use nest_freq::{Activity, FreqModel};
 use nest_sched::kernel::KernelState;
 use nest_sched::policy::{IdleReason, Placement, SchedEnv, SchedPolicy};
 use nest_simcore::json::{self, Json};
+use nest_simcore::snap::{self, field, load, tagged, Snap};
 use nest_simcore::{
-    profile, snap, Action, BarrierId, BehaviorRegistry, ChannelId, CoreId, EventQueue, Freq,
+    profile, snap_struct, Action, BarrierId, BehaviorRegistry, ChannelId, CoreId, EventQueue, Freq,
     PlacementPath, Probe, SimRng, SimSetup, StopReason, TaskId, TaskSpec, Time, TraceEvent,
     MICROSEC, MILLISEC, TICK_NS,
 };
@@ -1324,100 +1325,117 @@ const STRAGGLER_KIND: &str = "straggler";
 /// task spawned by fault injection) with a restore registry.
 pub fn register_behaviors(reg: &mut BehaviorRegistry) {
     reg.register(STRAGGLER_KIND, |state, _| {
-        Ok(Box::new(Straggler {
-            remaining_cycles: snap::get_u64(state, "remaining")?,
-            sleep_next: snap::get_bool(state, "sleep_next")?,
-        }))
+        Ok(Box::new(Straggler::load(state)?))
     });
 }
 
-fn event_to_json(ev: &Event) -> Json {
-    let tagged = |tag: &str, fields: Vec<(&str, Json)>| {
-        let mut all = vec![("t", Json::str(tag))];
-        all.extend(fields);
-        json::obj(all)
-    };
-    let task = |t: &TaskId| Json::usize(t.index());
-    let core = |c: &CoreId| Json::usize(c.index());
-    match ev {
-        Event::Commit { task: t, gen } => {
-            tagged("commit", vec![("task", task(t)), ("gen", Json::u64(*gen))])
+impl Snap for Event {
+    fn save(&self) -> Json {
+        match self {
+            Event::Commit { task, gen } => {
+                tagged("commit", vec![("task", task.save()), ("gen", gen.save())])
+            }
+            Event::SegmentDone { task, gen } => {
+                tagged("seg_done", vec![("task", task.save()), ("gen", gen.save())])
+            }
+            Event::Wakeup { task, waker_core } => tagged(
+                "wakeup",
+                vec![("task", task.save()), ("waker", waker_core.save())],
+            ),
+            Event::GlobalTick => tagged("tick", vec![]),
+            Event::FreqTick => tagged("freq_tick", vec![]),
+            Event::SpinStop { core, gen } => tagged(
+                "spin_stop",
+                vec![("core", core.save()), ("gen", gen.save())],
+            ),
+            Event::BarrierContinue { task } => tagged("barrier_cont", vec![("task", task.save())]),
+            Event::SmoveExpire {
+                task,
+                from,
+                to,
+                gen,
+            } => tagged(
+                "smove",
+                vec![
+                    ("task", task.save()),
+                    ("from", from.save()),
+                    ("to", to.save()),
+                    ("gen", gen.save()),
+                ],
+            ),
+            Event::Fault(idx) => tagged("fault", vec![("idx", idx.save())]),
+            Event::Inject(idx) => tagged("inject", vec![("idx", idx.save())]),
         }
-        Event::SegmentDone { task: t, gen } => tagged(
-            "seg_done",
-            vec![("task", task(t)), ("gen", Json::u64(*gen))],
-        ),
-        Event::Wakeup {
-            task: t,
-            waker_core,
-        } => tagged(
-            "wakeup",
-            vec![("task", task(t)), ("waker", core(waker_core))],
-        ),
-        Event::GlobalTick => tagged("tick", vec![]),
-        Event::FreqTick => tagged("freq_tick", vec![]),
-        Event::SpinStop { core: c, gen } => tagged(
-            "spin_stop",
-            vec![("core", core(c)), ("gen", Json::u64(*gen))],
-        ),
-        Event::BarrierContinue { task: t } => tagged("barrier_cont", vec![("task", task(t))]),
-        Event::SmoveExpire {
-            task: t,
-            from,
-            to,
-            gen,
-        } => tagged(
-            "smove",
-            vec![
-                ("task", task(t)),
-                ("from", core(from)),
-                ("to", core(to)),
-                ("gen", Json::u64(*gen)),
-            ],
-        ),
-        Event::Fault(idx) => tagged("fault", vec![("idx", Json::usize(*idx))]),
-        Event::Inject(idx) => tagged("inject", vec![("idx", Json::usize(*idx))]),
+    }
+
+    fn load(j: &Json) -> Result<Event, String> {
+        match load::<String>(j, "t")?.as_str() {
+            "commit" => Ok(Event::Commit {
+                task: load(j, "task")?,
+                gen: load(j, "gen")?,
+            }),
+            "seg_done" => Ok(Event::SegmentDone {
+                task: load(j, "task")?,
+                gen: load(j, "gen")?,
+            }),
+            "wakeup" => Ok(Event::Wakeup {
+                task: load(j, "task")?,
+                waker_core: load(j, "waker")?,
+            }),
+            "tick" => Ok(Event::GlobalTick),
+            "freq_tick" => Ok(Event::FreqTick),
+            "spin_stop" => Ok(Event::SpinStop {
+                core: load(j, "core")?,
+                gen: load(j, "gen")?,
+            }),
+            "barrier_cont" => Ok(Event::BarrierContinue {
+                task: load(j, "task")?,
+            }),
+            "smove" => Ok(Event::SmoveExpire {
+                task: load(j, "task")?,
+                from: load(j, "from")?,
+                to: load(j, "to")?,
+                gen: load(j, "gen")?,
+            }),
+            "fault" => Ok(Event::Fault(load(j, "idx")?)),
+            "inject" => Ok(Event::Inject(load(j, "idx")?)),
+            other => Err(format!("unknown event tag \"{other}\"")),
+        }
     }
 }
 
-fn event_from_json(j: &Json) -> Result<Event, String> {
-    let task =
-        |key: &str| -> Result<TaskId, String> { Ok(TaskId::from_index(snap::get_usize(j, key)?)) };
-    let core =
-        |key: &str| -> Result<CoreId, String> { Ok(CoreId::from_index(snap::get_usize(j, key)?)) };
-    match snap::get_str(j, "t")? {
-        "commit" => Ok(Event::Commit {
-            task: task("task")?,
-            gen: snap::get_u64(j, "gen")?,
-        }),
-        "seg_done" => Ok(Event::SegmentDone {
-            task: task("task")?,
-            gen: snap::get_u64(j, "gen")?,
-        }),
-        "wakeup" => Ok(Event::Wakeup {
-            task: task("task")?,
-            waker_core: core("waker")?,
-        }),
-        "tick" => Ok(Event::GlobalTick),
-        "freq_tick" => Ok(Event::FreqTick),
-        "spin_stop" => Ok(Event::SpinStop {
-            core: core("core")?,
-            gen: snap::get_u64(j, "gen")?,
-        }),
-        "barrier_cont" => Ok(Event::BarrierContinue {
-            task: task("task")?,
-        }),
-        "smove" => Ok(Event::SmoveExpire {
-            task: task("task")?,
-            from: core("from")?,
-            to: core("to")?,
-            gen: snap::get_u64(j, "gen")?,
-        }),
-        "fault" => Ok(Event::Fault(snap::get_usize(j, "idx")?)),
-        "inject" => Ok(Event::Inject(snap::get_usize(j, "idx")?)),
-        other => Err(format!("unknown event tag \"{other}\"")),
+impl Snap for TaskState {
+    fn save(&self) -> Json {
+        match self {
+            TaskState::Placing => tagged("placing", vec![]),
+            TaskState::Queued => tagged("queued", vec![]),
+            TaskState::Running(core) => tagged("running", vec![("core", core.save())]),
+            TaskState::Blocked => tagged("blocked", vec![]),
+            TaskState::Exited => tagged("exited", vec![]),
+        }
+    }
+
+    fn load(j: &Json) -> Result<TaskState, String> {
+        match load::<String>(j, "t")?.as_str() {
+            "placing" => Ok(TaskState::Placing),
+            "queued" => Ok(TaskState::Queued),
+            "running" => Ok(TaskState::Running(load(j, "core")?)),
+            "blocked" => Ok(TaskState::Blocked),
+            "exited" => Ok(TaskState::Exited),
+            other => Err(format!("unknown task state \"{other}\"")),
+        }
     }
 }
+
+snap_struct!(Barrier {
+    "parties": parties,
+    "waiting": waiting,
+});
+
+snap_struct!(Channel {
+    "msgs": msgs,
+    "waiting": waiting,
+});
 
 impl Engine {
     /// Serializes the full mutable simulation state: clock, event queue,
@@ -1448,62 +1466,23 @@ impl Engine {
                     )
                 })?
             };
-            let state = match t.state {
-                TaskState::Placing => json::obj(vec![("t", Json::str("placing"))]),
-                TaskState::Queued => json::obj(vec![("t", Json::str("queued"))]),
-                TaskState::Running(core) => json::obj(vec![
-                    ("t", Json::str("running")),
-                    ("core", Json::usize(core.index())),
-                ]),
-                TaskState::Blocked => json::obj(vec![("t", Json::str("blocked"))]),
-                TaskState::Exited => json::obj(vec![("t", Json::str("exited"))]),
-            };
             tasks.push(json::obj(vec![
-                ("label", Json::str(&t.label)),
+                ("label", t.label.save()),
                 ("behavior", behavior),
-                ("rng", snap::rng_json(&t.rng)),
-                ("state", state),
-                ("cycles", Json::u64(t.remaining_cycles)),
-                ("seg_resumed_at", snap::time_json(t.seg_resumed_at)),
-                ("seg_freq", Json::u64(t.seg_freq.as_khz())),
-                ("seg_gen", Json::u64(t.seg_gen)),
-                ("commit_gen", Json::u64(t.commit_gen)),
-                ("smove_gen", Json::u64(t.smove_gen)),
-                ("parent", Json::opt_u64(t.parent.map(|p| p.index() as u64))),
-                ("live_children", Json::u64(t.live_children as u64)),
-                ("waiting_children", Json::Bool(t.waiting_children)),
-                ("in_barrier", Json::Bool(t.in_barrier)),
+                ("rng", t.rng.save()),
+                ("state", t.state.save()),
+                ("cycles", t.remaining_cycles.save()),
+                ("seg_resumed_at", t.seg_resumed_at.save()),
+                ("seg_freq", t.seg_freq.save()),
+                ("seg_gen", t.seg_gen.save()),
+                ("commit_gen", t.commit_gen.save()),
+                ("smove_gen", t.smove_gen.save()),
+                ("parent", t.parent.save()),
+                ("live_children", t.live_children.save()),
+                ("waiting_children", t.waiting_children.save()),
+                ("in_barrier", t.in_barrier.save()),
             ]));
         }
-        let barriers = self
-            .barriers
-            .iter()
-            .map(|b| {
-                json::obj(vec![
-                    ("parties", Json::u64(b.parties as u64)),
-                    (
-                        "waiting",
-                        Json::Arr(b.waiting.iter().map(|t| Json::usize(t.index())).collect()),
-                    ),
-                ])
-            })
-            .collect();
-        let channels = self
-            .channels
-            .iter()
-            .map(|c| {
-                json::obj(vec![
-                    ("msgs", Json::u64(c.msgs)),
-                    (
-                        "waiting",
-                        Json::Arr(c.waiting.iter().map(|t| Json::usize(t.index())).collect()),
-                    ),
-                ])
-            })
-            .collect();
-        let mut pending: Vec<(usize, CoreId)> =
-            self.pending_core.iter().map(|(&k, &v)| (k, v)).collect();
-        pending.sort_by_key(|&(k, _)| k);
         let injections = self
             .injections
             .iter()
@@ -1517,17 +1496,14 @@ impl Engine {
                         )
                     })?,
                 };
-                Ok(json::obj(vec![
-                    ("at", snap::time_json(*at)),
-                    ("spec", spec_j),
-                ]))
+                Ok(json::obj(vec![("at", at.save()), ("spec", spec_j)]))
             })
             .collect::<Result<Vec<_>, String>>()?;
         let queue = self
             .queue
             .pending_in_schedule_order()
             .into_iter()
-            .map(|(at, ev)| json::obj(vec![("at", snap::time_json(at)), ("ev", event_to_json(ev))]))
+            .map(|(at, ev)| json::obj(vec![("at", at.save()), ("ev", ev.save())]))
             .collect();
         let mut probes = Vec::with_capacity(self.probes.len());
         for (i, p) in self.probes.iter().enumerate() {
@@ -1537,37 +1513,23 @@ impl Engine {
             probes.push(json::obj(vec![("kind", Json::str(kind)), ("state", state)]));
         }
         Ok(json::obj(vec![
-            ("now", snap::time_json(self.now)),
-            ("events", Json::u64(self.events_dispatched)),
-            ("faults", Json::str(&self.cfg.faults.canonical())),
-            ("rng", snap::rng_json(&self.rng)),
-            ("fault_rng", snap::rng_json(&self.fault_rng)),
-            ("live_tasks", Json::usize(self.live_tasks)),
-            ("runnable", Json::u64(self.runnable as u64)),
-            ("pending_injections", Json::usize(self.pending_injections)),
+            ("now", self.now.save()),
+            ("events", self.events_dispatched.save()),
+            ("faults", self.cfg.faults.canonical().save()),
+            ("rng", self.rng.save()),
+            ("fault_rng", self.fault_rng.save()),
+            ("live_tasks", self.live_tasks.save()),
+            ("runnable", self.runnable.save()),
+            ("pending_injections", self.pending_injections.save()),
             ("kernel", self.kernel.save()),
             ("policy", self.policy.save()),
             ("freq", self.freq.save()),
             ("tasks", Json::Arr(tasks)),
-            ("barriers", Json::Arr(barriers)),
-            ("channels", Json::Arr(channels)),
-            (
-                "spinning",
-                Json::Arr(self.spinning.iter().map(|&b| Json::Bool(b)).collect()),
-            ),
-            (
-                "spin_gen",
-                Json::Arr(self.spin_gen.iter().map(|&g| Json::u64(g)).collect()),
-            ),
-            (
-                "pending_core",
-                Json::Arr(
-                    pending
-                        .into_iter()
-                        .map(|(t, c)| Json::Arr(vec![Json::usize(t), Json::usize(c.index())]))
-                        .collect(),
-                ),
-            ),
+            ("barriers", self.barriers.save()),
+            ("channels", self.channels.save()),
+            ("spinning", self.spinning.save()),
+            ("spin_gen", self.spin_gen.save()),
+            ("pending_core", self.pending_core.save()),
             ("injections", Json::Arr(injections)),
             ("queue", Json::Arr(queue)),
             ("probes", Json::Arr(probes)),
@@ -1591,36 +1553,27 @@ impl Engine {
             return Err("restore requires an engine with no spawned tasks".into());
         }
         let n_cores = self.topo.n_cores();
-        self.now = snap::get_time(body, "now")?;
-        self.events_dispatched = snap::get_u64(body, "events")?;
+        self.now = load(body, "now")?;
+        self.events_dispatched = load(body, "events")?;
         self.events_at_start = self.events_dispatched;
-        self.kernel.load(snap::field(body, "kernel")?)?;
-        self.policy.load(&self.topo, snap::field(body, "policy")?)?;
-        self.freq.load(snap::field(body, "freq")?)?;
-        self.rng = snap::rng_from_json(snap::field(body, "rng")?)?;
+        self.kernel.load(field(body, "kernel")?)?;
+        self.policy.load(&self.topo, field(body, "policy")?)?;
+        self.freq.load(field(body, "freq")?)?;
+        self.rng = load(body, "rng")?;
 
         let tasks_j = snap::get_arr(body, "tasks")?;
         let mut tasks = Vec::with_capacity(tasks_j.len());
         for (i, j) in tasks_j.iter().enumerate() {
-            let label = snap::get_str(j, "label")?.to_string();
-            let state_j = snap::field(j, "state")?;
-            let state = match snap::get_str(state_j, "t")? {
-                "placing" => TaskState::Placing,
-                "queued" => TaskState::Queued,
-                "running" => {
-                    let c = snap::get_usize(state_j, "core")?;
-                    if c >= n_cores {
-                        return Err(format!(
-                            "task #{i} runs on core {c}, but the machine has {n_cores} cores"
-                        ));
-                    }
-                    TaskState::Running(CoreId::from_index(c))
+            let label: String = load(j, "label")?;
+            let state: TaskState = load(j, "state")?;
+            if let TaskState::Running(c) = state {
+                if c.index() >= n_cores {
+                    return Err(format!(
+                        "task #{i} runs on core {c}, but the machine has {n_cores} cores"
+                    ));
                 }
-                "blocked" => TaskState::Blocked,
-                "exited" => TaskState::Exited,
-                other => return Err(format!("unknown task state \"{other}\"")),
-            };
-            let behavior_j = snap::field(j, "behavior")?;
+            }
+            let behavior_j = field(j, "behavior")?;
             let behavior: Box<dyn nest_simcore::Behavior> = if behavior_j.is_null() {
                 if state != TaskState::Exited {
                     return Err(format!(
@@ -1632,29 +1585,21 @@ impl Engine {
                 snap::behavior_from_json(behavior_j, reg)
                     .map_err(|e| format!("task #{i} (\"{label}\"): {e}"))?
             };
-            let parent_j = snap::field(j, "parent")?;
-            let parent = if parent_j.is_null() {
-                None
-            } else {
-                Some(TaskId::from_index(parent_j.as_usize().ok_or_else(
-                    || format!("task #{i} parent is neither null nor an integer"),
-                )?))
-            };
             tasks.push(SimTask {
                 label,
                 behavior,
-                rng: snap::rng_from_json(snap::field(j, "rng")?)?,
+                rng: load(j, "rng")?,
                 state,
-                remaining_cycles: snap::get_u64(j, "cycles")?,
-                seg_resumed_at: snap::get_time(j, "seg_resumed_at")?,
-                seg_freq: Freq::from_khz(snap::get_u64(j, "seg_freq")?),
-                seg_gen: snap::get_u64(j, "seg_gen")?,
-                commit_gen: snap::get_u64(j, "commit_gen")?,
-                smove_gen: snap::get_u64(j, "smove_gen")?,
-                parent,
-                live_children: snap::get_u32(j, "live_children")?,
-                waiting_children: snap::get_bool(j, "waiting_children")?,
-                in_barrier: snap::get_bool(j, "in_barrier")?,
+                remaining_cycles: load(j, "cycles")?,
+                seg_resumed_at: load(j, "seg_resumed_at")?,
+                seg_freq: load(j, "seg_freq")?,
+                seg_gen: load(j, "seg_gen")?,
+                commit_gen: load(j, "commit_gen")?,
+                smove_gen: load(j, "smove_gen")?,
+                parent: load(j, "parent")?,
+                live_children: load(j, "live_children")?,
+                waiting_children: load(j, "waiting_children")?,
+                in_barrier: load(j, "in_barrier")?,
             });
         }
         self.tasks = tasks;
@@ -1666,70 +1611,20 @@ impl Engine {
             ));
         }
 
-        self.barriers = snap::get_arr(body, "barriers")?
-            .iter()
-            .map(|j| {
-                Ok(Barrier {
-                    parties: snap::get_u32(j, "parties")?,
-                    waiting: snap::get_arr(j, "waiting")?
-                        .iter()
-                        .map(|t| Ok(TaskId::from_index(snap::elem_u64(t)? as usize)))
-                        .collect::<Result<_, String>>()?,
-                })
-            })
-            .collect::<Result<_, String>>()?;
-        self.channels = snap::get_arr(body, "channels")?
-            .iter()
-            .map(|j| {
-                Ok(Channel {
-                    msgs: snap::get_u64(j, "msgs")?,
-                    waiting: snap::get_arr(j, "waiting")?
-                        .iter()
-                        .map(|t| Ok(TaskId::from_index(snap::elem_u64(t)? as usize)))
-                        .collect::<Result<_, String>>()?,
-                })
-            })
-            .collect::<Result<_, String>>()?;
-
-        self.live_tasks = snap::get_usize(body, "live_tasks")?;
-        self.runnable = snap::get_u32(body, "runnable")?;
-        self.pending_injections = snap::get_usize(body, "pending_injections")?;
-
-        let spinning = snap::get_arr(body, "spinning")?;
-        let spin_gen = snap::get_arr(body, "spin_gen")?;
-        if spinning.len() != n_cores || spin_gen.len() != n_cores {
-            return Err("spin state does not match the machine's core count".into());
-        }
-        self.spinning = spinning
-            .iter()
-            .map(|j| {
-                j.as_bool()
-                    .ok_or_else(|| "spinning entry is not a boolean".to_string())
-            })
-            .collect::<Result<_, String>>()?;
-        self.spin_gen = spin_gen
-            .iter()
-            .map(snap::elem_u64)
-            .collect::<Result<_, String>>()?;
-
-        self.pending_core.clear();
-        for j in snap::get_arr(body, "pending_core")? {
-            let pair = j
-                .as_arr()
-                .filter(|a| a.len() == 2)
-                .ok_or_else(|| "pending_core entry is not a [task, core] pair".to_string())?;
-            self.pending_core.insert(
-                snap::elem_u64(&pair[0])? as usize,
-                CoreId::from_index(snap::elem_u64(&pair[1])? as usize),
-            );
-        }
+        self.barriers = load(body, "barriers")?;
+        self.channels = load(body, "channels")?;
+        self.live_tasks = load(body, "live_tasks")?;
+        self.runnable = load(body, "runnable")?;
+        self.pending_injections = load(body, "pending_injections")?;
+        self.spinning = snap::load_len(body, "spinning", n_cores)?;
+        self.spin_gen = snap::load_len(body, "spin_gen", n_cores)?;
+        self.pending_core = load(body, "pending_core")?;
 
         self.injections = snap::get_arr(body, "injections")?
             .iter()
             .enumerate()
             .map(|(i, j)| {
-                let at = snap::get_time(j, "at")?;
-                let spec_j = snap::field(j, "spec")?;
+                let spec_j = field(j, "spec")?;
                 let spec = if spec_j.is_null() {
                     None
                 } else {
@@ -1738,19 +1633,18 @@ impl Engine {
                             .map_err(|e| format!("injection #{i}: {e}"))?,
                     )
                 };
-                Ok((at, spec))
+                Ok((load(j, "at")?, spec))
             })
             .collect::<Result<_, String>>()?;
 
-        let saved_faults = snap::get_str(body, "faults")?;
+        let saved_faults: String = load(body, "faults")?;
         let same_faults = saved_faults == self.cfg.faults.canonical();
         if same_faults {
-            self.fault_rng = snap::rng_from_json(snap::field(body, "fault_rng")?)?;
+            self.fault_rng = load(body, "fault_rng")?;
         }
         for (idx, j) in snap::get_arr(body, "queue")?.iter().enumerate() {
-            let at = snap::get_time(j, "at")?;
-            let ev =
-                event_from_json(snap::field(j, "ev")?).map_err(|e| format!("queue[{idx}]: {e}"))?;
+            let at = load(j, "at")?;
+            let ev = load(j, "ev").map_err(|e| format!("queue[{idx}]: {e}"))?;
             match ev {
                 Event::Fault(i) if !same_faults => {
                     // The saved event indexes the *old* plan's schedule;
@@ -1784,15 +1678,15 @@ impl Engine {
             ));
         }
         for (i, (p, j)) in self.probes.iter_mut().zip(probes_j).enumerate() {
-            let kind = snap::get_str(j, "kind")?;
+            let kind: String = load(j, "kind")?;
             let own = p.snap().map(|(k, _)| k);
-            if own != Some(kind) {
+            if own != Some(kind.as_str()) {
                 return Err(format!(
                     "probe #{i} is \"{}\", but the snapshot carries \"{kind}\"",
                     own.unwrap_or("unsupported")
                 ));
             }
-            p.snap_restore(snap::field(j, "state")?)
+            p.snap_restore(field(j, "state")?)
                 .map_err(|e| format!("probe #{i} (\"{kind}\"): {e}"))?;
         }
 
@@ -1809,6 +1703,11 @@ struct Straggler {
     remaining_cycles: u64,
     sleep_next: bool,
 }
+
+snap_struct!(Straggler {
+    "remaining": remaining_cycles,
+    "sleep_next": sleep_next,
+});
 
 impl Straggler {
     fn new(duration_ns: u64) -> Straggler {
@@ -1838,12 +1737,6 @@ impl nest_simcore::Behavior for Straggler {
     }
 
     fn snap(&self) -> Option<(&'static str, Json)> {
-        Some((
-            STRAGGLER_KIND,
-            json::obj(vec![
-                ("remaining", Json::u64(self.remaining_cycles)),
-                ("sleep_next", Json::Bool(self.sleep_next)),
-            ]),
-        ))
+        Some((STRAGGLER_KIND, self.save()))
     }
 }

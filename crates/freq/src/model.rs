@@ -20,7 +20,8 @@
 //! active core on the socket (§5.2).
 
 use nest_simcore::json::{self, Json};
-use nest_simcore::{snap, CoreId, Freq, Time};
+use nest_simcore::snap::{self, Snap};
+use nest_simcore::{CoreId, Freq, Time};
 use nest_topology::{MachineSpec, Topology};
 
 use crate::governor::Governor;
@@ -34,6 +35,26 @@ pub enum Activity {
     Busy,
     /// The idle loop is spinning to keep the core warm (Nest §3.2).
     Spinning,
+}
+
+impl Snap for Activity {
+    fn save(&self) -> Json {
+        let code: u64 = match self {
+            Activity::Idle => 0,
+            Activity::Busy => 1,
+            Activity::Spinning => 2,
+        };
+        code.save()
+    }
+
+    fn load(j: &Json) -> Result<Activity, String> {
+        match u64::load(j)? {
+            0 => Ok(Activity::Idle),
+            1 => Ok(Activity::Busy),
+            2 => Ok(Activity::Spinning),
+            other => Err(format!("unknown activity code {other}")),
+        }
+    }
 }
 
 #[derive(Clone, Debug)]
@@ -50,6 +71,14 @@ struct PhysCore {
     /// one field instead of re-deriving it from both threads.
     active: bool,
 }
+
+nest_simcore::snap_struct!(PhysCore {
+    "cur": cur,
+    "observed": observed,
+    "idle_since": idle_since,
+    "last_active": last_active,
+    "active": active,
+});
 
 /// Per-physical-core DVFS and whole-machine energy model.
 pub struct FreqModel {
@@ -421,88 +450,25 @@ impl FreqModel {
     /// is deliberately dropped: a cache miss recomputes the identical
     /// value, so energy stays bit-identical either way.
     pub fn save(&self) -> Json {
-        let activity = |a: &Activity| {
-            Json::u64(match a {
-                Activity::Idle => 0,
-                Activity::Busy => 1,
-                Activity::Spinning => 2,
-            })
-        };
-        let phys = |p: &PhysCore| {
-            json::obj(vec![
-                ("cur", Json::u64(p.cur.as_khz())),
-                ("observed", Json::u64(p.observed.as_khz())),
-                ("idle_since", snap::opt_time_json(p.idle_since)),
-                ("last_active", snap::opt_time_json(p.last_active)),
-                ("active", Json::Bool(p.active)),
-            ])
-        };
         json::obj(vec![
-            (
-                "activity",
-                Json::Arr(self.thread_activity.iter().map(activity).collect()),
-            ),
-            ("phys", Json::Arr(self.phys.iter().map(phys).collect())),
-            (
-                "domain_active",
-                Json::Arr(self.domain_active.iter().map(|&n| Json::usize(n)).collect()),
-            ),
-            (
-                "throttle",
-                Json::Arr(self.throttle.iter().map(|&f| snap::f64_bits(f)).collect()),
-            ),
-            ("energy", snap::f64_bits(self.energy_joules)),
-            ("last_integration", snap::time_json(self.last_integration)),
+            ("activity", self.thread_activity.save()),
+            ("phys", self.phys.save()),
+            ("domain_active", self.domain_active.save()),
+            ("throttle", self.throttle.save()),
+            ("energy", self.energy_joules.save()),
+            ("last_integration", self.last_integration.save()),
         ])
     }
 
     /// Restores state captured by [`FreqModel::save`] into a model built
     /// from the same machine spec and governor.
     pub fn load(&mut self, state: &Json) -> Result<(), String> {
-        let expect_len = |name: &str, got: usize, want: usize| {
-            if got == want {
-                Ok(())
-            } else {
-                Err(format!(
-                    "freq snapshot \"{name}\" has {got} entries, the machine needs {want}"
-                ))
-            }
-        };
-        let acts = snap::get_arr(state, "activity")?;
-        expect_len("activity", acts.len(), self.thread_activity.len())?;
-        for (slot, j) in self.thread_activity.iter_mut().zip(acts) {
-            *slot = match snap::elem_u64(j)? {
-                0 => Activity::Idle,
-                1 => Activity::Busy,
-                2 => Activity::Spinning,
-                other => return Err(format!("unknown activity code {other}")),
-            };
-        }
-        let phys = snap::get_arr(state, "phys")?;
-        expect_len("phys", phys.len(), self.phys.len())?;
-        for (slot, j) in self.phys.iter_mut().zip(phys) {
-            slot.cur = Freq::from_khz(snap::get_u64(j, "cur")?);
-            slot.observed = Freq::from_khz(snap::get_u64(j, "observed")?);
-            slot.idle_since = snap::get_opt_time(j, "idle_since")?;
-            slot.last_active = snap::get_opt_time(j, "last_active")?;
-            slot.active = snap::get_bool(j, "active")?;
-        }
-        let domain_active = snap::get_arr(state, "domain_active")?;
-        expect_len(
-            "domain_active",
-            domain_active.len(),
-            self.domain_active.len(),
-        )?;
-        for (slot, j) in self.domain_active.iter_mut().zip(domain_active) {
-            *slot = snap::elem_u64(j)? as usize;
-        }
-        let throttle = snap::get_arr(state, "throttle")?;
-        expect_len("throttle", throttle.len(), self.throttle.len())?;
-        for (slot, j) in self.throttle.iter_mut().zip(throttle) {
-            *slot = f64::from_bits(snap::elem_u64(j)?);
-        }
-        self.energy_joules = snap::get_f64_bits(state, "energy")?;
-        self.last_integration = snap::get_time(state, "last_integration")?;
+        self.thread_activity = snap::load_len(state, "activity", self.thread_activity.len())?;
+        self.phys = snap::load_len(state, "phys", self.phys.len())?;
+        self.domain_active = snap::load_len(state, "domain_active", self.domain_active.len())?;
+        self.throttle = snap::load_len(state, "throttle", self.throttle.len())?;
+        self.energy_joules = snap::load(state, "energy")?;
+        self.last_integration = snap::load(state, "last_integration")?;
         self.power_cache = None;
         Ok(())
     }

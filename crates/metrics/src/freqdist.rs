@@ -9,7 +9,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use nest_simcore::json::{self, Json};
-use nest_simcore::{snap, Freq, Probe, Time, TraceEvent};
+use nest_simcore::snap::{self, Snap};
+use nest_simcore::{Freq, Probe, Time, TraceEvent};
 
 /// Registry kind under which [`FreqResidencyProbe`] snapshots itself.
 pub const FREQ_RESIDENCY_PROBE_KIND: &str = "metrics.freq_residency";
@@ -155,55 +156,19 @@ impl Probe for FreqResidencyProbe {
         Some((
             FREQ_RESIDENCY_PROBE_KIND,
             json::obj(vec![
-                (
-                    "busy",
-                    Json::Arr(self.busy.iter().map(|&b| Json::Bool(b)).collect()),
-                ),
-                (
-                    "freq_khz",
-                    Json::Arr(self.freq.iter().map(|f| Json::u64(f.as_khz())).collect()),
-                ),
-                (
-                    "since",
-                    Json::Arr(self.since.iter().map(|&t| snap::time_json(t)).collect()),
-                ),
-                (
-                    "acc",
-                    Json::Arr(self.acc.iter().map(|&ns| Json::u64(ns)).collect()),
-                ),
+                ("busy", self.busy.save()),
+                ("freq_khz", self.freq.save()),
+                ("since", self.since.save()),
+                ("acc", self.acc.save()),
             ]),
         ))
     }
 
     fn snap_restore(&mut self, state: &Json) -> Result<(), String> {
-        let expect = |name: &str, got: usize, want: usize| -> Result<(), String> {
-            if got != want {
-                return Err(format!(
-                    "freq-residency snapshot \"{name}\" has {got} entries, expected {want}"
-                ));
-            }
-            Ok(())
-        };
-        let busy = snap::get_arr(state, "busy")?;
-        expect("busy", busy.len(), self.busy.len())?;
-        for (slot, b) in self.busy.iter_mut().zip(busy) {
-            *slot = b.as_bool().ok_or("busy entry is not a bool")?;
-        }
-        let freq = snap::get_arr(state, "freq_khz")?;
-        expect("freq_khz", freq.len(), self.freq.len())?;
-        for (slot, f) in self.freq.iter_mut().zip(freq) {
-            *slot = Freq::from_khz(snap::elem_u64(f)?);
-        }
-        let since = snap::get_arr(state, "since")?;
-        expect("since", since.len(), self.since.len())?;
-        for (slot, t) in self.since.iter_mut().zip(since) {
-            *slot = Time::from_nanos(snap::elem_u64(t)?);
-        }
-        let acc = snap::get_arr(state, "acc")?;
-        expect("acc", acc.len(), self.acc.len())?;
-        for (slot, a) in self.acc.iter_mut().zip(acc) {
-            *slot = snap::elem_u64(a)?;
-        }
+        self.busy = snap::load_len(state, "busy", self.busy.len())?;
+        self.freq = snap::load_len(state, "freq_khz", self.freq.len())?;
+        self.since = snap::load_len(state, "since", self.since.len())?;
+        self.acc = snap::load_len(state, "acc", self.acc.len())?;
         Ok(())
     }
 }

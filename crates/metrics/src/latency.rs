@@ -9,7 +9,8 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use nest_simcore::json::{self, Json};
-use nest_simcore::{snap, Probe, TaskId, Time, TraceEvent};
+use nest_simcore::snap::{self, Snap};
+use nest_simcore::{Probe, TaskId, Time, TraceEvent};
 
 /// Registry kind under which [`WakeupLatencyProbe`] snapshots itself.
 pub const WAKEUP_LATENCY_PROBE_KIND: &str = "metrics.wakeup_latency";
@@ -101,48 +102,18 @@ impl Probe for WakeupLatencyProbe {
     }
 
     fn snap(&self) -> Option<(&'static str, Json)> {
-        // The pending map is sorted by task id so the snapshot bytes are
-        // independent of HashMap iteration order.
-        let mut pending: Vec<(&TaskId, &Time)> = self.pending.iter().collect();
-        pending.sort_by_key(|(task, _)| task.0);
         Some((
             WAKEUP_LATENCY_PROBE_KIND,
             json::obj(vec![
-                (
-                    "pending",
-                    Json::Arr(
-                        pending
-                            .into_iter()
-                            .map(|(task, &at)| {
-                                Json::Arr(vec![Json::u64(task.0 as u64), snap::time_json(at)])
-                            })
-                            .collect(),
-                    ),
-                ),
-                (
-                    "samples",
-                    Json::Arr(self.samples.iter().map(|&ns| Json::u64(ns)).collect()),
-                ),
+                ("pending", self.pending.save()),
+                ("samples", self.samples.save()),
             ]),
         ))
     }
 
     fn snap_restore(&mut self, state: &Json) -> Result<(), String> {
-        self.pending.clear();
-        for pair in snap::get_arr(state, "pending")? {
-            let items = pair.as_arr().ok_or("pending entry is not a pair")?;
-            if items.len() != 2 {
-                return Err("pending entry is not a [task, time] pair".to_string());
-            }
-            self.pending.insert(
-                TaskId(snap::elem_u64(&items[0])? as u32),
-                Time::from_nanos(snap::elem_u64(&items[1])?),
-            );
-        }
-        self.samples = snap::get_arr(state, "samples")?
-            .iter()
-            .map(snap::elem_u64)
-            .collect::<Result<Vec<_>, String>>()?;
+        self.pending = snap::load(state, "pending")?;
+        self.samples = snap::load(state, "samples")?;
         Ok(())
     }
 }

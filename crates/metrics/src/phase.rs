@@ -41,7 +41,8 @@ use std::rc::Rc;
 use nest_freq::ns_at_reference;
 use nest_serve::REQUEST_LABEL_PREFIX;
 use nest_simcore::json::{obj, Json};
-use nest_simcore::{snap, CoreId, Freq, Probe, StopReason, TaskId, Time, TraceEvent};
+use nest_simcore::snap::{self, Snap};
+use nest_simcore::{CoreId, Freq, Probe, StopReason, TaskId, Time, TraceEvent};
 use nest_topology::MachineSpec;
 
 use crate::tail::TailHistogram;
@@ -421,142 +422,87 @@ impl Probe for PhaseBreakdownProbe {
         // The machine shape (fmax, ccx/phys tables) comes from
         // construction; only accumulated counters, the mirrored hardware
         // view, and in-flight request states travel — the latter sorted
-        // by task id for stable bytes. `running` is rebuilt on restore
-        // from the `Running` states.
-        let state_code = |s: &ReqState| match s {
-            ReqState::Arrival => (0u64, 0u64),
-            ReqState::Runnable => (1, 0),
-            ReqState::Running(c) => (2, c.index() as u64 + 1),
-            ReqState::Blocked => (3, 0),
-            ReqState::Exiting => (4, 0),
-        };
+        // by task id for stable bytes. A request's state is a code plus
+        // its core (+1, 0 for none), and its last CCX is likewise +1.
+        // `running` is rebuilt on restore from the `Running` states.
         let mut inflight: Vec<(&TaskId, &InFlight)> = self.inflight.iter().collect();
         inflight.sort_by_key(|(task, _)| task.0);
+        let inflight = inflight
+            .into_iter()
+            .map(|(task, r)| {
+                let (state, core) = match r.state {
+                    ReqState::Arrival => (0u64, 0usize),
+                    ReqState::Runnable => (1, 0),
+                    ReqState::Running(c) => (2, c.index() + 1),
+                    ReqState::Blocked => (3, 0),
+                    ReqState::Exiting => (4, 0),
+                };
+                obj(vec![
+                    ("task", task.save()),
+                    ("created", r.created.save()),
+                    ("since", r.since.save()),
+                    ("state", state.save()),
+                    ("core", core.save()),
+                    ("woken", r.woken.save()),
+                    ("wake_spin", r.wake_spin.save()),
+                    ("last_ccx", r.last_ccx.map_or(0, |c| c + 1).save()),
+                    ("acc", r.acc.save()),
+                ])
+            })
+            .collect();
         Some((
             PHASE_BREAKDOWN_PROBE_KIND,
             obj(vec![
-                ("requests", Json::u64(self.m.requests)),
-                ("identity_violations", Json::u64(self.m.identity_violations)),
+                ("requests", self.m.requests.save()),
+                ("identity_violations", self.m.identity_violations.save()),
                 ("total", self.m.total.save()),
-                (
-                    "phases",
-                    Json::Arr(self.m.phases.iter().map(|h| h.save()).collect()),
-                ),
-                (
-                    "phys_freq",
-                    Json::Arr(
-                        self.phys_freq
-                            .iter()
-                            .map(|f| Json::u64(f.as_khz()))
-                            .collect(),
-                    ),
-                ),
-                (
-                    "spinning",
-                    Json::Arr(self.spinning.iter().map(|&b| Json::Bool(b)).collect()),
-                ),
-                (
-                    "inflight",
-                    Json::Arr(
-                        inflight
-                            .into_iter()
-                            .map(|(task, r)| {
-                                let (state, core) = state_code(&r.state);
-                                obj(vec![
-                                    ("task", Json::u64(task.0 as u64)),
-                                    ("created", snap::time_json(r.created)),
-                                    ("since", snap::time_json(r.since)),
-                                    ("state", Json::u64(state)),
-                                    ("core", Json::u64(core)),
-                                    ("woken", Json::Bool(r.woken)),
-                                    ("wake_spin", Json::Bool(r.wake_spin)),
-                                    (
-                                        "last_ccx",
-                                        Json::u64(r.last_ccx.map_or(0, |c| c as u64 + 1)),
-                                    ),
-                                    (
-                                        "acc",
-                                        Json::Arr(r.acc.iter().map(|&v| Json::u64(v)).collect()),
-                                    ),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
+                ("phases", self.m.phases.save()),
+                ("phys_freq", self.phys_freq.save()),
+                ("spinning", self.spinning.save()),
+                ("inflight", Json::Arr(inflight)),
             ]),
         ))
     }
 
     fn snap_restore(&mut self, state: &Json) -> Result<(), String> {
-        let expect_len = |name: &str, got: usize, want: usize| {
-            if got == want {
-                Ok(())
-            } else {
-                Err(format!(
-                    "phase snapshot \"{name}\" has {got} entries, the machine needs {want}"
-                ))
-            }
-        };
-        self.m.requests = snap::get_u64(state, "requests")?;
-        self.m.identity_violations = snap::get_u64(state, "identity_violations")?;
-        self.m.total = TailHistogram::load(snap::field(state, "total")?)?;
-        let phases = snap::get_arr(state, "phases")?;
-        expect_len("phases", phases.len(), N_PHASES)?;
-        self.m.phases = phases
-            .iter()
-            .map(TailHistogram::load)
-            .collect::<Result<_, _>>()?;
-        let freqs = snap::get_arr(state, "phys_freq")?;
-        expect_len("phys_freq", freqs.len(), self.phys_freq.len())?;
-        for (slot, j) in self.phys_freq.iter_mut().zip(freqs) {
-            *slot = Freq::from_khz(snap::elem_u64(j)?);
-        }
-        let spinning = snap::get_arr(state, "spinning")?;
-        expect_len("spinning", spinning.len(), self.spinning.len())?;
-        for (slot, j) in self.spinning.iter_mut().zip(spinning) {
-            *slot = j.as_bool().ok_or("spin flag is not a bool")?;
-        }
+        self.m.requests = snap::load(state, "requests")?;
+        self.m.identity_violations = snap::load(state, "identity_violations")?;
+        self.m.total = snap::load(state, "total")?;
+        self.m.phases = snap::load_len(state, "phases", N_PHASES)?;
+        self.phys_freq = snap::load_len(state, "phys_freq", self.phys_freq.len())?;
+        self.spinning = snap::load_len(state, "spinning", self.spinning.len())?;
         self.inflight.clear();
         self.running = vec![None; self.running.len()];
         for entry in snap::get_arr(state, "inflight")? {
-            let task = TaskId(snap::get_u64(entry, "task")? as u32);
-            let core = snap::get_u64(entry, "core")?;
-            let state_code = snap::get_u64(entry, "state")?;
-            let state = match state_code {
+            let task: TaskId = snap::load(entry, "task")?;
+            let core: usize = snap::load(entry, "core")?;
+            let state = match snap::load::<u64>(entry, "state")? {
                 0 => ReqState::Arrival,
                 1 => ReqState::Runnable,
                 2 => {
-                    if core == 0 {
-                        return Err("running request without a core".to_string());
+                    if core == 0 || core > self.running.len() {
+                        return Err(format!(
+                            "running request on core slot {core} is out of range"
+                        ));
                     }
-                    let c = CoreId::from_index(core as usize - 1);
-                    if c.index() >= self.running.len() {
-                        return Err(format!("request core {} out of range", c.index()));
-                    }
-                    self.running[c.index()] = Some(task);
-                    ReqState::Running(c)
+                    self.running[core - 1] = Some(task);
+                    ReqState::Running(CoreId::from_index(core - 1))
                 }
                 3 => ReqState::Blocked,
                 4 => ReqState::Exiting,
                 other => return Err(format!("unknown request state code {other}")),
             };
-            let accs = snap::get_arr(entry, "acc")?;
-            expect_len("acc", accs.len(), N_PHASES)?;
-            let mut acc = [0u64; N_PHASES];
-            for (slot, j) in acc.iter_mut().zip(accs) {
-                *slot = snap::elem_u64(j)?;
-            }
-            let last_ccx = snap::get_u64(entry, "last_ccx")?;
+            let last_ccx: u32 = snap::load(entry, "last_ccx")?;
             self.inflight.insert(
                 task,
                 InFlight {
-                    created: snap::get_time(entry, "created")?,
-                    since: snap::get_time(entry, "since")?,
+                    created: snap::load(entry, "created")?,
+                    since: snap::load(entry, "since")?,
                     state,
-                    woken: snap::get_bool(entry, "woken")?,
-                    wake_spin: snap::get_bool(entry, "wake_spin")?,
-                    last_ccx: (last_ccx > 0).then(|| last_ccx as u32 - 1),
-                    acc,
+                    woken: snap::load(entry, "woken")?,
+                    wake_spin: snap::load(entry, "wake_spin")?,
+                    last_ccx: last_ccx.checked_sub(1),
+                    acc: snap::load(entry, "acc")?,
                 },
             );
         }

@@ -10,7 +10,8 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use nest_simcore::json::{self, Json};
-use nest_simcore::{snap, PlacementPath, Probe, Time, TraceEvent};
+use nest_simcore::snap::{self, Snap};
+use nest_simcore::{PlacementPath, Probe, Time, TraceEvent};
 
 /// Registry kind under which [`PlacementProbe`] snapshots itself.
 pub const PLACEMENT_PROBE_KIND: &str = "metrics.placement";
@@ -91,53 +92,27 @@ impl Probe for PlacementProbe {
     fn snap(&self) -> Option<(&'static str, Json)> {
         // Path counters travel densely in `PlacementPath::ALL` order so
         // the bytes do not depend on HashMap iteration order.
+        let by_path: Vec<u64> = PlacementPath::ALL
+            .iter()
+            .map(|p| self.by_path.get(p).copied().unwrap_or(0))
+            .collect();
         Some((
             PLACEMENT_PROBE_KIND,
             json::obj(vec![
-                (
-                    "by_path",
-                    Json::Arr(
-                        PlacementPath::ALL
-                            .iter()
-                            .map(|p| Json::u64(self.by_path.get(p).copied().unwrap_or(0)))
-                            .collect(),
-                    ),
-                ),
-                (
-                    "by_core",
-                    Json::Arr(self.by_core.iter().map(|&n| Json::u64(n)).collect()),
-                ),
+                ("by_path", by_path.save()),
+                ("by_core", self.by_core.save()),
             ]),
         ))
     }
 
     fn snap_restore(&mut self, state: &Json) -> Result<(), String> {
-        let by_path = snap::get_arr(state, "by_path")?;
-        if by_path.len() != PlacementPath::ALL.len() {
-            return Err(format!(
-                "placement snapshot has {} path counters, expected {}",
-                by_path.len(),
-                PlacementPath::ALL.len()
-            ));
-        }
-        self.by_path.clear();
-        for (path, n) in PlacementPath::ALL.iter().zip(by_path) {
-            let n = snap::elem_u64(n)?;
-            if n > 0 {
-                self.by_path.insert(*path, n);
-            }
-        }
-        let by_core = snap::get_arr(state, "by_core")?;
-        if by_core.len() != self.by_core.len() {
-            return Err(format!(
-                "placement snapshot has {} cores, the machine has {}",
-                by_core.len(),
-                self.by_core.len()
-            ));
-        }
-        for (slot, n) in self.by_core.iter_mut().zip(by_core) {
-            *slot = snap::elem_u64(n)?;
-        }
+        let by_path: Vec<u64> = snap::load_len(state, "by_path", PlacementPath::ALL.len())?;
+        self.by_path = PlacementPath::ALL
+            .into_iter()
+            .zip(by_path)
+            .filter(|&(_, n)| n > 0)
+            .collect();
+        self.by_core = snap::load_len(state, "by_core", self.by_core.len())?;
         Ok(())
     }
 }

@@ -21,7 +21,8 @@ use std::rc::Rc;
 
 use nest_serve::REQUEST_LABEL_PREFIX;
 use nest_simcore::json::{obj, Json};
-use nest_simcore::{snap, Probe, TaskId, Time, TraceEvent};
+use nest_simcore::snap::{self, Snap};
+use nest_simcore::{Probe, TaskId, Time, TraceEvent};
 
 use crate::tail::TailHistogram;
 
@@ -239,54 +240,36 @@ impl Probe for ServeMetricsProbe {
     fn snap(&self) -> Option<(&'static str, Json)> {
         // The SLO table comes from construction (it is part of the
         // scenario); only the accumulated counters and in-flight requests
-        // travel, with the arrived map sorted by task id for stable bytes.
-        let mut arrived: Vec<(&TaskId, &(Time, u64))> = self.arrived.iter().collect();
-        arrived.sort_by_key(|(task, _)| task.0);
+        // travel, the latter as `[task, arrived, slo]` triples sorted by
+        // task id for stable bytes.
+        let mut arrived: Vec<(TaskId, Time, u64)> = self
+            .arrived
+            .iter()
+            .map(|(&task, &(at, slo))| (task, at, slo))
+            .collect();
+        arrived.sort_unstable_by_key(|&(task, ..)| task);
         Some((
             SERVE_METRICS_PROBE_KIND,
             obj(vec![
-                ("offered", Json::u64(self.m.offered)),
-                ("completed", Json::u64(self.m.completed)),
-                ("within_slo", Json::u64(self.m.within_slo)),
+                ("offered", self.m.offered.save()),
+                ("completed", self.m.completed.save()),
+                ("within_slo", self.m.within_slo.save()),
                 ("hist", self.m.hist.save()),
-                (
-                    "arrived",
-                    Json::Arr(
-                        arrived
-                            .into_iter()
-                            .map(|(task, &(at, slo))| {
-                                Json::Arr(vec![
-                                    Json::u64(task.0 as u64),
-                                    snap::time_json(at),
-                                    Json::u64(slo),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
+                ("arrived", arrived.save()),
             ]),
         ))
     }
 
     fn snap_restore(&mut self, state: &Json) -> Result<(), String> {
-        self.m.offered = snap::get_u64(state, "offered")?;
-        self.m.completed = snap::get_u64(state, "completed")?;
-        self.m.within_slo = snap::get_u64(state, "within_slo")?;
-        self.m.hist = TailHistogram::load(snap::field(state, "hist")?)?;
-        self.arrived.clear();
-        for entry in snap::get_arr(state, "arrived")? {
-            let items = entry.as_arr().ok_or("arrived entry is not a triple")?;
-            if items.len() != 3 {
-                return Err("arrived entry is not a [task, time, slo] triple".to_string());
-            }
-            self.arrived.insert(
-                TaskId(snap::elem_u64(&items[0])? as u32),
-                (
-                    Time::from_nanos(snap::elem_u64(&items[1])?),
-                    snap::elem_u64(&items[2])?,
-                ),
-            );
-        }
+        self.m.offered = snap::load(state, "offered")?;
+        self.m.completed = snap::load(state, "completed")?;
+        self.m.within_slo = snap::load(state, "within_slo")?;
+        self.m.hist = snap::load(state, "hist")?;
+        let arrived: Vec<(TaskId, Time, u64)> = snap::load(state, "arrived")?;
+        self.arrived = arrived
+            .into_iter()
+            .map(|(task, at, slo)| (task, (at, slo)))
+            .collect();
         Ok(())
     }
 }

@@ -19,7 +19,7 @@
 //! worker count.
 
 use nest_simcore::json::{self, Json};
-use nest_simcore::snap;
+use nest_simcore::snap::{self, Snap};
 
 /// Sub-buckets per power of two; also the reciprocal of the worst-case
 /// relative quantile error.
@@ -152,32 +152,22 @@ impl TailHistogram {
         }
         unreachable!("rank {rank} beyond recorded total {}", self.total)
     }
+}
 
-    /// Serializes the histogram for a snapshot.
-    pub fn save(&self) -> Json {
+impl Snap for TailHistogram {
+    fn save(&self) -> Json {
         json::obj(vec![
-            (
-                "counts",
-                Json::Arr(self.counts.iter().map(|&c| Json::u64(c)).collect()),
-            ),
-            ("total", Json::u64(self.total)),
-            ("sum", Json::u64(self.sum)),
-            (
-                "topk",
-                Json::Arr(self.topk.iter().map(|&v| Json::u64(v)).collect()),
-            ),
+            ("counts", self.counts.save()),
+            ("total", self.total.save()),
+            ("sum", self.sum.save()),
+            ("topk", self.topk.save()),
         ])
     }
 
-    /// Rebuilds a histogram serialized by [`TailHistogram::save`].
-    pub fn load(state: &Json) -> Result<TailHistogram, String> {
-        let arr_u64 = |key: &str| -> Result<Vec<u64>, String> {
-            snap::get_arr(state, key)?
-                .iter()
-                .map(snap::elem_u64)
-                .collect()
-        };
-        let topk = arr_u64("topk")?;
+    /// Rebuilds a saved histogram, rejecting a reservoir over the cap or
+    /// out of order.
+    fn load(state: &Json) -> Result<TailHistogram, String> {
+        let topk: Vec<u64> = snap::load(state, "topk")?;
         if topk.len() > TOP_K {
             return Err(format!(
                 "histogram reservoir carries {} samples, the cap is {TOP_K}",
@@ -188,9 +178,9 @@ impl TailHistogram {
             return Err("histogram reservoir is not sorted".to_string());
         }
         Ok(TailHistogram {
-            counts: arr_u64("counts")?,
-            total: snap::get_u64(state, "total")?,
-            sum: snap::get_u64(state, "sum")?,
+            counts: snap::load(state, "counts")?,
+            total: snap::load(state, "total")?,
+            sum: snap::load(state, "sum")?,
             topk,
         })
     }

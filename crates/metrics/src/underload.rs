@@ -17,7 +17,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use nest_simcore::json::{self, Json};
-use nest_simcore::{snap, Probe, Time, TraceEvent, SEC, TICK_NS};
+use nest_simcore::snap::{self, Snap};
+use nest_simcore::{snap_struct, Probe, Time, TraceEvent, SEC, TICK_NS};
 
 /// Registry kind under which [`UnderloadProbe`] snapshots itself.
 pub const UNDERLOAD_PROBE_KIND: &str = "metrics.underload";
@@ -37,6 +38,11 @@ impl IntervalStat {
         self.cores_used.saturating_sub(self.max_runnable)
     }
 }
+
+snap_struct!(IntervalStat {
+    "cores_used": cores_used,
+    "max_runnable": max_runnable,
+});
 
 /// One fixed-size-window underload tracker.
 struct WindowTracker {
@@ -89,59 +95,16 @@ impl WindowTracker {
 
     fn save(&self) -> Json {
         json::obj(vec![
-            ("cur_interval", Json::usize(self.cur_interval)),
-            (
-                "used_mark",
-                Json::Arr(
-                    self.used_mark
-                        .iter()
-                        .map(|m| Json::opt_u64(m.map(|i| i as u64)))
-                        .collect(),
-                ),
-            ),
-            (
-                "intervals",
-                Json::Arr(
-                    self.intervals
-                        .iter()
-                        .map(|s| {
-                            json::obj(vec![
-                                ("cores_used", Json::u64(s.cores_used as u64)),
-                                ("max_runnable", Json::u64(s.max_runnable as u64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("cur_interval", self.cur_interval.save()),
+            ("used_mark", self.used_mark.save()),
+            ("intervals", self.intervals.save()),
         ])
     }
 
     fn load(&mut self, state: &Json) -> Result<(), String> {
-        self.cur_interval = snap::get_usize(state, "cur_interval")?;
-        let marks = snap::get_arr(state, "used_mark")?;
-        if marks.len() != self.used_mark.len() {
-            return Err(format!(
-                "underload snapshot has {} cores, the machine has {}",
-                marks.len(),
-                self.used_mark.len()
-            ));
-        }
-        for (slot, m) in self.used_mark.iter_mut().zip(marks) {
-            *slot = if m.is_null() {
-                None
-            } else {
-                Some(snap::elem_u64(m)? as usize)
-            };
-        }
-        self.intervals = snap::get_arr(state, "intervals")?
-            .iter()
-            .map(|s| {
-                Ok(IntervalStat {
-                    cores_used: snap::get_u32(s, "cores_used")?,
-                    max_runnable: snap::get_u32(s, "max_runnable")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
+        self.cur_interval = snap::load(state, "cur_interval")?;
+        self.used_mark = snap::load_len(state, "used_mark", self.used_mark.len())?;
+        self.intervals = snap::load(state, "intervals")?;
         if self.cur_interval >= self.intervals.len() {
             return Err("underload snapshot's current interval is out of range".to_string());
         }
@@ -254,11 +217,8 @@ impl Probe for UnderloadProbe {
             json::obj(vec![
                 ("ticks", self.ticks.save()),
                 ("seconds", self.seconds.save()),
-                (
-                    "busy",
-                    Json::Arr(self.busy.iter().map(|&b| Json::Bool(b)).collect()),
-                ),
-                ("cur_runnable", Json::u64(self.cur_runnable as u64)),
+                ("busy", self.busy.save()),
+                ("cur_runnable", self.cur_runnable.save()),
             ]),
         ))
     }
@@ -266,18 +226,8 @@ impl Probe for UnderloadProbe {
     fn snap_restore(&mut self, state: &Json) -> Result<(), String> {
         self.ticks.load(snap::field(state, "ticks")?)?;
         self.seconds.load(snap::field(state, "seconds")?)?;
-        let busy = snap::get_arr(state, "busy")?;
-        if busy.len() != self.busy.len() {
-            return Err(format!(
-                "underload snapshot has {} cores, the machine has {}",
-                busy.len(),
-                self.busy.len()
-            ));
-        }
-        for (slot, b) in self.busy.iter_mut().zip(busy) {
-            *slot = b.as_bool().ok_or("busy entry is not a bool")?;
-        }
-        self.cur_runnable = snap::get_u32(state, "cur_runnable")?;
+        self.busy = snap::load_len(state, "busy", self.busy.len())?;
+        self.cur_runnable = snap::load(state, "cur_runnable")?;
         Ok(())
     }
 }

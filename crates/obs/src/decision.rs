@@ -14,7 +14,8 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use nest_simcore::json::{obj, Json};
-use nest_simcore::{snap, CoreId, PlacementPath, Probe, TaskId, Time, TraceEvent};
+use nest_simcore::snap::{self, Snap};
+use nest_simcore::{CoreId, PlacementPath, Probe, TaskId, Time, TraceEvent};
 
 /// Registry kind under which [`DecisionMetricsProbe`] snapshots itself.
 pub const DECISION_METRICS_PROBE_KIND: &str = "obs.decision_metrics";
@@ -514,209 +515,79 @@ impl Probe for DecisionMetricsProbe {
     }
 
     fn snap(&self) -> Option<(&'static str, Json)> {
-        let u64_arr = |v: &[u64]| Json::Arr(v.iter().map(|&n| Json::u64(n)).collect());
-        // Maps travel sorted by task id so the snapshot bytes are
-        // independent of HashMap iteration order.
-        let mut woken: Vec<(&TaskId, &Time)> = self.woken_at.iter().collect();
-        woken.sort_by_key(|(task, _)| task.0);
-        let mut cores: Vec<(&TaskId, &CoreId)> = self.last_core.iter().collect();
-        cores.sort_by_key(|(task, _)| task.0);
         Some((
             DECISION_METRICS_PROBE_KIND,
             obj(vec![
-                ("latency_counts", u64_arr(&self.m.latency_counts)),
-                ("latency_samples", Json::u64(self.m.latency_samples)),
-                ("latency_sum_ns", Json::u64(self.m.latency_sum_ns)),
-                ("placements", u64_arr(&self.m.placements)),
-                ("migrations", Json::u64(self.m.migrations)),
-                (
-                    "cross_ccx_migrations",
-                    Json::u64(self.m.cross_ccx_migrations),
-                ),
+                ("latency_counts", self.m.latency_counts.save()),
+                ("latency_samples", self.m.latency_samples.save()),
+                ("latency_sum_ns", self.m.latency_sum_ns.save()),
+                ("placements", self.m.placements.save()),
+                ("migrations", self.m.migrations.save()),
+                ("cross_ccx_migrations", self.m.cross_ccx_migrations.save()),
                 (
                     "cross_socket_migrations",
-                    Json::u64(self.m.cross_socket_migrations),
+                    self.m.cross_socket_migrations.save(),
                 ),
-                ("spin_ns", u64_arr(&self.m.spin_ns)),
-                ("nest_ccx_primary_ns", u64_arr(&self.m.nest_ccx_primary_ns)),
-                (
-                    "nest_member",
-                    Json::Arr(self.nest_member.iter().map(|&b| Json::Bool(b)).collect()),
-                ),
-                ("nest_primary_ns", Json::u64(self.m.nest_primary_ns)),
-                ("nest_reserve_ns", Json::u64(self.m.nest_reserve_ns)),
-                (
-                    "nest_primary_max",
-                    Json::u64(self.m.nest_primary_max as u64),
-                ),
-                (
-                    "nest_reserve_max",
-                    Json::u64(self.m.nest_reserve_max as u64),
-                ),
-                ("nest_transitions", Json::u64(self.m.nest_transitions)),
-                ("nest_compactions", Json::u64(self.m.nest_compactions)),
-                (
-                    "occupancy_timeline",
-                    Json::Arr(
-                        self.m
-                            .occupancy_timeline
-                            .iter()
-                            .map(|&(t, p, r)| {
-                                Json::Arr(vec![
-                                    Json::u64(t),
-                                    Json::u64(p as u64),
-                                    Json::u64(r as u64),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                ("timeline_truncated", Json::Bool(self.m.timeline_truncated)),
-                (
-                    "woken_at",
-                    Json::Arr(
-                        woken
-                            .into_iter()
-                            .map(|(task, &at)| {
-                                Json::Arr(vec![Json::u64(task.0 as u64), snap::time_json(at)])
-                            })
-                            .collect(),
-                    ),
-                ),
-                (
-                    "last_core",
-                    Json::Arr(
-                        cores
-                            .into_iter()
-                            .map(|(task, core)| {
-                                Json::Arr(vec![Json::u64(task.0 as u64), Json::usize(core.index())])
-                            })
-                            .collect(),
-                    ),
-                ),
-                (
-                    "spin_since",
-                    Json::Arr(
-                        self.spin_since
-                            .iter()
-                            .map(|&t| snap::opt_time_json(t))
-                            .collect(),
-                    ),
-                ),
-                ("cur_primary", Json::u64(self.cur_primary as u64)),
-                ("cur_reserve", Json::u64(self.cur_reserve as u64)),
-                ("last_nest_change", snap::time_json(self.last_nest_change)),
+                ("spin_ns", self.m.spin_ns.save()),
+                ("nest_ccx_primary_ns", self.m.nest_ccx_primary_ns.save()),
+                ("nest_member", self.nest_member.save()),
+                ("nest_primary_ns", self.m.nest_primary_ns.save()),
+                ("nest_reserve_ns", self.m.nest_reserve_ns.save()),
+                ("nest_primary_max", self.m.nest_primary_max.save()),
+                ("nest_reserve_max", self.m.nest_reserve_max.save()),
+                ("nest_transitions", self.m.nest_transitions.save()),
+                ("nest_compactions", self.m.nest_compactions.save()),
+                ("occupancy_timeline", self.m.occupancy_timeline.save()),
+                ("timeline_truncated", self.m.timeline_truncated.save()),
+                ("woken_at", self.woken_at.save()),
+                ("last_core", self.last_core.save()),
+                ("spin_since", self.spin_since.save()),
+                ("cur_primary", self.cur_primary.save()),
+                ("cur_reserve", self.cur_reserve.save()),
+                ("last_nest_change", self.last_nest_change.save()),
             ]),
         ))
     }
 
     fn snap_restore(&mut self, state: &Json) -> Result<(), String> {
-        let load_u64s = |key: &str, want: usize| -> Result<Vec<u64>, String> {
-            let arr = snap::get_arr(state, key)?;
-            if arr.len() != want {
-                return Err(format!(
-                    "decision snapshot \"{key}\" has {} entries, expected {want}",
-                    arr.len()
-                ));
-            }
-            arr.iter().map(snap::elem_u64).collect()
-        };
-        self.m.latency_counts = load_u64s("latency_counts", self.m.latency_counts.len())?;
-        self.m.latency_samples = snap::get_u64(state, "latency_samples")?;
-        self.m.latency_sum_ns = snap::get_u64(state, "latency_sum_ns")?;
-        self.m.placements = load_u64s("placements", self.m.placements.len())?;
-        self.m.migrations = snap::get_u64(state, "migrations")?;
-        self.m.cross_ccx_migrations = snap::get_u64(state, "cross_ccx_migrations")?;
-        self.m.cross_socket_migrations = snap::get_u64(state, "cross_socket_migrations")?;
-        self.m.spin_ns = load_u64s("spin_ns", self.m.spin_ns.len())?;
-        self.m.nest_ccx_primary_ns =
-            load_u64s("nest_ccx_primary_ns", self.m.nest_ccx_primary_ns.len())?;
-        let members = snap::get_arr(state, "nest_member")?;
-        if members.len() != self.nest_member.len() {
-            return Err(format!(
-                "decision snapshot tracks {} nest cores, the machine has {}",
-                members.len(),
-                self.nest_member.len()
-            ));
-        }
+        let n_cores = self.spin_since.len();
+        let m = &mut self.m;
+        m.latency_counts = snap::load_len(state, "latency_counts", m.latency_counts.len())?;
+        m.latency_samples = snap::load(state, "latency_samples")?;
+        m.latency_sum_ns = snap::load(state, "latency_sum_ns")?;
+        m.placements = snap::load_len(state, "placements", m.placements.len())?;
+        m.migrations = snap::load(state, "migrations")?;
+        m.cross_ccx_migrations = snap::load(state, "cross_ccx_migrations")?;
+        m.cross_socket_migrations = snap::load(state, "cross_socket_migrations")?;
+        m.spin_ns = snap::load_len(state, "spin_ns", m.spin_ns.len())?;
+        m.nest_ccx_primary_ns =
+            snap::load_len(state, "nest_ccx_primary_ns", m.nest_ccx_primary_ns.len())?;
+        m.nest_primary_ns = snap::load(state, "nest_primary_ns")?;
+        m.nest_reserve_ns = snap::load(state, "nest_reserve_ns")?;
+        m.nest_primary_max = snap::load(state, "nest_primary_max")?;
+        m.nest_reserve_max = snap::load(state, "nest_reserve_max")?;
+        m.nest_transitions = snap::load(state, "nest_transitions")?;
+        m.nest_compactions = snap::load(state, "nest_compactions")?;
+        m.occupancy_timeline = snap::load(state, "occupancy_timeline")?;
+        m.timeline_truncated = snap::load(state, "timeline_truncated")?;
+        self.nest_member = snap::load_len(state, "nest_member", n_cores)?;
         self.cur_ccx_primary.fill(0);
-        for (i, entry) in members.iter().enumerate() {
-            let member = entry
-                .as_bool()
-                .ok_or("nest_member entry is not a boolean")?;
-            self.nest_member[i] = member;
+        for (&member, &ccx) in self.nest_member.iter().zip(&self.ccx_of) {
             if member {
-                self.cur_ccx_primary[self.ccx_of[i] as usize] += 1;
+                self.cur_ccx_primary[ccx as usize] += 1;
             }
         }
-        self.m.nest_primary_ns = snap::get_u64(state, "nest_primary_ns")?;
-        self.m.nest_reserve_ns = snap::get_u64(state, "nest_reserve_ns")?;
-        self.m.nest_primary_max = snap::get_u32(state, "nest_primary_max")?;
-        self.m.nest_reserve_max = snap::get_u32(state, "nest_reserve_max")?;
-        self.m.nest_transitions = snap::get_u64(state, "nest_transitions")?;
-        self.m.nest_compactions = snap::get_u64(state, "nest_compactions")?;
-        self.m.occupancy_timeline = snap::get_arr(state, "occupancy_timeline")?
-            .iter()
-            .map(|entry| {
-                let items = entry.as_arr().ok_or("timeline entry is not a triple")?;
-                if items.len() != 3 {
-                    return Err("timeline entry is not a [t, primary, reserve] triple".to_string());
-                }
-                Ok((
-                    snap::elem_u64(&items[0])?,
-                    snap::elem_u64(&items[1])? as u32,
-                    snap::elem_u64(&items[2])? as u32,
-                ))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        self.m.timeline_truncated = snap::get_bool(state, "timeline_truncated")?;
-        self.woken_at.clear();
-        for pair in snap::get_arr(state, "woken_at")? {
-            let items = pair.as_arr().ok_or("woken_at entry is not a pair")?;
-            if items.len() != 2 {
-                return Err("woken_at entry is not a [task, time] pair".to_string());
-            }
-            self.woken_at.insert(
-                TaskId(snap::elem_u64(&items[0])? as u32),
-                Time::from_nanos(snap::elem_u64(&items[1])?),
-            );
-        }
-        self.last_core.clear();
-        for pair in snap::get_arr(state, "last_core")? {
-            let items = pair.as_arr().ok_or("last_core entry is not a pair")?;
-            if items.len() != 2 {
-                return Err("last_core entry is not a [task, core] pair".to_string());
-            }
-            let core = snap::elem_u64(&items[1])? as usize;
-            if core >= self.spin_since.len() {
-                return Err(format!(
-                    "last_core names core {core}, but the machine has {}",
-                    self.spin_since.len()
-                ));
-            }
-            self.last_core.insert(
-                TaskId(snap::elem_u64(&items[0])? as u32),
-                CoreId::from_index(core),
-            );
-        }
-        let spin_since = snap::get_arr(state, "spin_since")?;
-        if spin_since.len() != self.spin_since.len() {
+        self.woken_at = snap::load(state, "woken_at")?;
+        self.last_core = snap::load(state, "last_core")?;
+        if let Some(core) = self.last_core.values().find(|c| c.index() >= n_cores) {
             return Err(format!(
-                "decision snapshot has {} cores, the machine has {}",
-                spin_since.len(),
-                self.spin_since.len()
+                "last_core names core {core}, but the machine has {n_cores}"
             ));
         }
-        for (slot, t) in self.spin_since.iter_mut().zip(spin_since) {
-            *slot = if t.is_null() {
-                None
-            } else {
-                Some(Time::from_nanos(snap::elem_u64(t)?))
-            };
-        }
-        self.cur_primary = snap::get_u32(state, "cur_primary")?;
-        self.cur_reserve = snap::get_u32(state, "cur_reserve")?;
-        self.last_nest_change = snap::get_time(state, "last_nest_change")?;
+        self.spin_since = snap::load_len(state, "spin_since", n_cores)?;
+        self.cur_primary = snap::load(state, "cur_primary")?;
+        self.cur_reserve = snap::load(state, "cur_reserve")?;
+        self.last_nest_change = snap::load(state, "last_nest_change")?;
         Ok(())
     }
 }

@@ -32,7 +32,8 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
 
 use nest_simcore::json::{obj, Json};
-use nest_simcore::{snap, Probe, TaskId, Time, TraceEvent};
+use nest_simcore::snap::{self, Snap};
+use nest_simcore::{Probe, TaskId, Time, TraceEvent};
 
 /// Registry kind under which [`InvariantChecker`] snapshots itself.
 pub const INVARIANT_CHECKER_KIND: &str = "obs.invariants";
@@ -428,136 +429,51 @@ impl Probe for InvariantChecker {
     }
 
     fn snap(&self) -> Option<(&'static str, Json)> {
-        let bool_arr = |v: &[bool]| Json::Arr(v.iter().map(|&b| Json::Bool(b)).collect());
-        // Sets travel sorted so the snapshot bytes are independent of
-        // hash iteration order.
-        let sorted_tasks = |set: &HashSet<TaskId>| {
-            let mut ids: Vec<u32> = set.iter().map(|t| t.0).collect();
-            ids.sort_unstable();
-            Json::Arr(ids.into_iter().map(|id| Json::u64(id as u64)).collect())
-        };
-        let mut task_core: Vec<(u32, usize)> =
-            self.task_core.iter().map(|(t, &c)| (t.0, c)).collect();
-        task_core.sort_unstable();
-        let mut primary: Vec<u32> = self.primary.iter().copied().collect();
-        primary.sort_unstable();
         let c = self.counts.borrow();
+        let by_rule: Vec<(String, u64)> = c
+            .by_rule
+            .iter()
+            .map(|(rule, &n)| (rule.to_string(), n))
+            .collect();
         Some((
             INVARIANT_CHECKER_KIND,
             obj(vec![
-                ("online", bool_arr(&self.online)),
-                ("spinning", bool_arr(&self.spinning)),
-                (
-                    "running",
-                    Json::Arr(
-                        self.running
-                            .iter()
-                            .map(|t| Json::opt_u64(t.map(|t| t.0 as u64)))
-                            .collect(),
-                    ),
-                ),
-                (
-                    "task_core",
-                    Json::Arr(
-                        task_core
-                            .into_iter()
-                            .map(|(t, c)| Json::Arr(vec![Json::u64(t as u64), Json::usize(c)]))
-                            .collect(),
-                    ),
-                ),
-                (
-                    "primary",
-                    Json::Arr(primary.into_iter().map(|c| Json::u64(c as u64)).collect()),
-                ),
-                ("woken_pending", sorted_tasks(&self.woken_pending)),
-                ("placed_pending", sorted_tasks(&self.placed_pending)),
-                ("created", Json::u64(self.created)),
-                ("exited", Json::u64(self.exited)),
-                ("events_checked", Json::u64(c.events_checked)),
-                ("violations", Json::u64(c.violations)),
-                (
-                    "by_rule",
-                    Json::Arr(
-                        c.by_rule
-                            .iter()
-                            .map(|(rule, &n)| Json::Arr(vec![Json::str(rule), Json::u64(n)]))
-                            .collect(),
-                    ),
-                ),
+                ("online", self.online.save()),
+                ("spinning", self.spinning.save()),
+                ("running", self.running.save()),
+                ("task_core", self.task_core.save()),
+                ("primary", self.primary.save()),
+                ("woken_pending", self.woken_pending.save()),
+                ("placed_pending", self.placed_pending.save()),
+                ("created", self.created.save()),
+                ("exited", self.exited.save()),
+                ("events_checked", c.events_checked.save()),
+                ("violations", c.violations.save()),
+                ("by_rule", by_rule.save()),
             ]),
         ))
     }
 
     fn snap_restore(&mut self, state: &Json) -> Result<(), String> {
-        let load_bools = |key: &str, want: usize| -> Result<Vec<bool>, String> {
-            let arr = snap::get_arr(state, key)?;
-            if arr.len() != want {
-                return Err(format!(
-                    "invariant snapshot \"{key}\" has {} entries, expected {want}",
-                    arr.len()
-                ));
-            }
-            arr.iter()
-                .map(|b| b.as_bool().ok_or(format!("{key} entry is not a bool")))
-                .collect()
-        };
-        self.online = load_bools("online", self.online.len())?;
-        self.spinning = load_bools("spinning", self.spinning.len())?;
-        let running = snap::get_arr(state, "running")?;
-        if running.len() != self.running.len() {
-            return Err(format!(
-                "invariant snapshot has {} cores, the machine has {}",
-                running.len(),
-                self.running.len()
-            ));
-        }
-        for (slot, t) in self.running.iter_mut().zip(running) {
-            *slot = if t.is_null() {
-                None
-            } else {
-                Some(TaskId(snap::elem_u64(t)? as u32))
-            };
-        }
-        self.task_core.clear();
-        for pair in snap::get_arr(state, "task_core")? {
-            let items = pair.as_arr().ok_or("task_core entry is not a pair")?;
-            if items.len() != 2 {
-                return Err("task_core entry is not a [task, core] pair".to_string());
-            }
-            self.task_core.insert(
-                TaskId(snap::elem_u64(&items[0])? as u32),
-                snap::elem_u64(&items[1])? as usize,
-            );
-        }
-        let load_id_set = |key: &str| -> Result<HashSet<TaskId>, String> {
-            snap::get_arr(state, key)?
-                .iter()
-                .map(|id| Ok(TaskId(snap::elem_u64(id)? as u32)))
-                .collect()
-        };
-        self.primary = snap::get_arr(state, "primary")?
-            .iter()
-            .map(|c| Ok::<u32, String>(snap::elem_u64(c)? as u32))
-            .collect::<Result<_, _>>()?;
-        self.woken_pending = load_id_set("woken_pending")?;
-        self.placed_pending = load_id_set("placed_pending")?;
-        self.created = snap::get_u64(state, "created")?;
-        self.exited = snap::get_u64(state, "exited")?;
+        self.online = snap::load_len(state, "online", self.online.len())?;
+        self.spinning = snap::load_len(state, "spinning", self.spinning.len())?;
+        self.running = snap::load_len(state, "running", self.running.len())?;
+        self.task_core = snap::load(state, "task_core")?;
+        self.primary = snap::load(state, "primary")?;
+        self.woken_pending = snap::load(state, "woken_pending")?;
+        self.placed_pending = snap::load(state, "placed_pending")?;
+        self.created = snap::load(state, "created")?;
+        self.exited = snap::load(state, "exited")?;
         let mut c = self.counts.borrow_mut();
-        c.events_checked = snap::get_u64(state, "events_checked")?;
-        c.violations = snap::get_u64(state, "violations")?;
+        c.events_checked = snap::load(state, "events_checked")?;
+        c.violations = snap::load(state, "violations")?;
         c.by_rule.clear();
-        for pair in snap::get_arr(state, "by_rule")? {
-            let items = pair.as_arr().ok_or("by_rule entry is not a pair")?;
-            if items.len() != 2 {
-                return Err("by_rule entry is not a [rule, count] pair".to_string());
-            }
-            let name = items[0].as_str().ok_or("rule name is not a string")?;
+        for (name, n) in snap::load::<Vec<(String, u64)>>(state, "by_rule")? {
             let rule = RULE_NAMES
                 .iter()
                 .find(|r| **r == name)
                 .ok_or_else(|| format!("snapshot tallies unknown invariant rule \"{name}\""))?;
-            c.by_rule.insert(rule, snap::elem_u64(&items[1])?);
+            c.by_rule.insert(rule, n);
         }
         Ok(())
     }

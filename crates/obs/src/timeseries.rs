@@ -25,7 +25,8 @@ use std::rc::Rc;
 
 use nest_freq::{instant_power_w, Activity};
 use nest_simcore::json::{obj, Json};
-use nest_simcore::{snap, Freq, Probe, Time, TraceEvent};
+use nest_simcore::snap::{self, Snap};
+use nest_simcore::{Freq, Probe, Time, TraceEvent};
 use nest_topology::MachineSpec;
 
 /// Registry kind under which [`TimeSeriesSampler`] snapshots itself.
@@ -319,106 +320,48 @@ impl Probe for TimeSeriesSampler {
     fn snap(&self) -> Option<(&'static str, Json)> {
         // The machine shape comes from construction; the mirrored state
         // and accumulated columns travel.
-        let u64s = |v: &[u64]| Json::Arr(v.iter().map(|&x| Json::u64(x)).collect());
-        let f64s = |v: &[f64]| Json::Arr(v.iter().map(|&x| snap::f64_bits(x)).collect());
-        let bools = |v: &[bool]| Json::Arr(v.iter().map(|&b| Json::Bool(b)).collect());
         Some((
             TIMESERIES_PROBE_KIND,
             obj(vec![
-                ("interval_ns", Json::u64(self.s.interval_ns)),
-                (
-                    "truncated_halvings",
-                    Json::u64(self.s.truncated_halvings as u64),
-                ),
-                ("next_at", Json::u64(self.next_at)),
-                ("t_ns", u64s(&self.s.t_ns)),
-                ("power_w", f64s(&self.s.power_w)),
-                ("mean_freq_khz", u64s(&self.s.mean_freq_khz)),
-                ("runnable_col", u64s(&self.s.runnable)),
-                ("nest_primary_col", u64s(&self.s.nest_primary)),
-                ("nest_reserve_col", u64s(&self.s.nest_reserve)),
-                (
-                    "socket_util",
-                    Json::Arr(self.s.socket_util.iter().map(|v| f64s(v)).collect()),
-                ),
-                (
-                    "ccx_util",
-                    Json::Arr(self.s.ccx_util.iter().map(|v| f64s(v)).collect()),
-                ),
-                ("busy", bools(&self.busy)),
-                ("spinning", bools(&self.spinning)),
-                (
-                    "phys_freq",
-                    Json::Arr(
-                        self.phys_freq
-                            .iter()
-                            .map(|f| Json::u64(f.as_khz()))
-                            .collect(),
-                    ),
-                ),
-                ("runnable", Json::u64(self.runnable)),
-                ("nest_primary", Json::u64(self.nest_primary)),
-                ("nest_reserve", Json::u64(self.nest_reserve)),
+                ("interval_ns", self.s.interval_ns.save()),
+                ("truncated_halvings", self.s.truncated_halvings.save()),
+                ("next_at", self.next_at.save()),
+                ("t_ns", self.s.t_ns.save()),
+                ("power_w", self.s.power_w.save()),
+                ("mean_freq_khz", self.s.mean_freq_khz.save()),
+                ("runnable_col", self.s.runnable.save()),
+                ("nest_primary_col", self.s.nest_primary.save()),
+                ("nest_reserve_col", self.s.nest_reserve.save()),
+                ("socket_util", self.s.socket_util.save()),
+                ("ccx_util", self.s.ccx_util.save()),
+                ("busy", self.busy.save()),
+                ("spinning", self.spinning.save()),
+                ("phys_freq", self.phys_freq.save()),
+                ("runnable", self.runnable.save()),
+                ("nest_primary", self.nest_primary.save()),
+                ("nest_reserve", self.nest_reserve.save()),
             ]),
         ))
     }
 
     fn snap_restore(&mut self, state: &Json) -> Result<(), String> {
-        let u64s = |name: &str| -> Result<Vec<u64>, String> {
-            snap::get_arr(state, name)?
-                .iter()
-                .map(snap::elem_u64)
-                .collect()
-        };
-        let f64_col = |arr: &Json| -> Result<Vec<f64>, String> {
-            arr.as_arr()
-                .ok_or("column is not an array")?
-                .iter()
-                .map(|j| Ok(f64::from_bits(snap::elem_u64(j)?)))
-                .collect()
-        };
-        let expect_len = |name: &str, got: usize, want: usize| {
-            if got == want {
-                Ok(())
-            } else {
-                Err(format!(
-                    "timeseries snapshot \"{name}\" has {got} entries, the machine needs {want}"
-                ))
-            }
-        };
-        self.s.interval_ns = snap::get_u64(state, "interval_ns")?;
-        self.s.truncated_halvings = snap::get_u64(state, "truncated_halvings")? as u32;
-        self.next_at = snap::get_u64(state, "next_at")?;
-        self.s.t_ns = u64s("t_ns")?;
-        self.s.power_w = f64_col(snap::field(state, "power_w")?)?;
-        self.s.mean_freq_khz = u64s("mean_freq_khz")?;
-        self.s.runnable = u64s("runnable_col")?;
-        self.s.nest_primary = u64s("nest_primary_col")?;
-        self.s.nest_reserve = u64s("nest_reserve_col")?;
-        let socket_util = snap::get_arr(state, "socket_util")?;
-        expect_len("socket_util", socket_util.len(), self.socket_cores.len())?;
-        self.s.socket_util = socket_util.iter().map(f64_col).collect::<Result<_, _>>()?;
-        let ccx_util = snap::get_arr(state, "ccx_util")?;
-        expect_len("ccx_util", ccx_util.len(), self.ccx_cores.len())?;
-        self.s.ccx_util = ccx_util.iter().map(f64_col).collect::<Result<_, _>>()?;
-        let busy = snap::get_arr(state, "busy")?;
-        expect_len("busy", busy.len(), self.busy.len())?;
-        for (slot, j) in self.busy.iter_mut().zip(busy) {
-            *slot = j.as_bool().ok_or("busy flag is not a bool")?;
-        }
-        let spinning = snap::get_arr(state, "spinning")?;
-        expect_len("spinning", spinning.len(), self.spinning.len())?;
-        for (slot, j) in self.spinning.iter_mut().zip(spinning) {
-            *slot = j.as_bool().ok_or("spin flag is not a bool")?;
-        }
-        let freqs = snap::get_arr(state, "phys_freq")?;
-        expect_len("phys_freq", freqs.len(), self.phys_freq.len())?;
-        for (slot, j) in self.phys_freq.iter_mut().zip(freqs) {
-            *slot = Freq::from_khz(snap::elem_u64(j)?);
-        }
-        self.runnable = snap::get_u64(state, "runnable")?;
-        self.nest_primary = snap::get_u64(state, "nest_primary")?;
-        self.nest_reserve = snap::get_u64(state, "nest_reserve")?;
+        self.s.interval_ns = snap::load(state, "interval_ns")?;
+        self.s.truncated_halvings = snap::load(state, "truncated_halvings")?;
+        self.next_at = snap::load(state, "next_at")?;
+        self.s.t_ns = snap::load(state, "t_ns")?;
+        self.s.power_w = snap::load(state, "power_w")?;
+        self.s.mean_freq_khz = snap::load(state, "mean_freq_khz")?;
+        self.s.runnable = snap::load(state, "runnable_col")?;
+        self.s.nest_primary = snap::load(state, "nest_primary_col")?;
+        self.s.nest_reserve = snap::load(state, "nest_reserve_col")?;
+        self.s.socket_util = snap::load_len(state, "socket_util", self.socket_cores.len())?;
+        self.s.ccx_util = snap::load_len(state, "ccx_util", self.ccx_cores.len())?;
+        self.busy = snap::load_len(state, "busy", self.busy.len())?;
+        self.spinning = snap::load_len(state, "spinning", self.spinning.len())?;
+        self.phys_freq = snap::load_len(state, "phys_freq", self.phys_freq.len())?;
+        self.runnable = snap::load(state, "runnable")?;
+        self.nest_primary = snap::load(state, "nest_primary")?;
+        self.nest_reserve = snap::load(state, "nest_reserve")?;
         Ok(())
     }
 }

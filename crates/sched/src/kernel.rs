@@ -18,7 +18,8 @@ use std::collections::BTreeSet;
 use std::rc::Rc;
 
 use nest_simcore::json::{self, Json};
-use nest_simcore::{profile, snap, CoreId, TaskId, Time};
+use nest_simcore::snap::{self, Snap};
+use nest_simcore::{profile, snap_struct, CoreId, TaskId, Time};
 use nest_topology::{CpuSet, Topology};
 
 use crate::pelt::Pelt;
@@ -49,6 +50,14 @@ pub struct TaskSched {
     /// Consecutive wakeups that found the previous core busy (Nest §3.1).
     pub impatience: u32,
 }
+
+snap_struct!(TaskSched {
+    "vruntime": vruntime,
+    "util": util,
+    "prev": prev_core,
+    "prev_prev": prev_prev_core,
+    "impatience": impatience,
+});
 
 /// Utilization a newly forked task starts with. Linux initializes new
 /// entities from the parent/cpu average (`post_init_entity_util_avg`);
@@ -128,6 +137,16 @@ impl CoreK {
     }
 }
 
+snap_struct!(CoreK {
+    "curr": curr,
+    "rq": rq,
+    "util": util,
+    "min_vruntime": min_vruntime,
+    "pending": pending,
+    "last_used": last_used,
+    "curr_started": curr_started,
+});
+
 /// Cached per-socket statistics used by CFS's top-level fork descent.
 ///
 /// Linux recomputes group statistics from per-core data that is itself
@@ -141,6 +160,11 @@ pub struct SocketStats {
     /// Sum of core loads at the last refresh.
     pub load: f64,
 }
+
+snap_struct!(SocketStats {
+    "idle": idle,
+    "load": load,
+});
 
 /// How often the socket-stats cache refreshes, in nanoseconds.
 pub const GROUP_STATS_REFRESH_NS: u64 = 250_000;
@@ -291,167 +315,26 @@ impl KernelState {
     /// stored; [`KernelState::load`] re-derives them per core, which is
     /// exact by construction.
     pub fn save(&self) -> Json {
-        let pelt = |p: &Pelt| -> Json {
-            let (value, running, last_update) = p.snap();
-            json::obj(vec![
-                ("value", snap::f64_bits(value)),
-                ("running", Json::Bool(running)),
-                ("at", snap::time_json(last_update)),
-            ])
-        };
-        let opt_core = |c: Option<CoreId>| c.map_or(Json::Null, |c| Json::u64(c.0 as u64));
-        let cores = self
-            .cores
-            .iter()
-            .map(|c| {
-                json::obj(vec![
-                    ("curr", c.curr.map_or(Json::Null, |t| Json::u64(t.0 as u64))),
-                    (
-                        "rq",
-                        Json::Arr(
-                            c.rq.iter()
-                                .map(|&(v, t)| Json::Arr(vec![Json::u64(v), Json::u64(t.0 as u64)]))
-                                .collect(),
-                        ),
-                    ),
-                    ("util", pelt(&c.util)),
-                    ("min_vruntime", Json::u64(c.min_vruntime)),
-                    ("pending", Json::u64(c.pending as u64)),
-                    ("last_used", snap::time_json(c.last_used)),
-                    ("curr_started", snap::time_json(c.curr_started)),
-                ])
-            })
-            .collect();
-        let tasks = self
-            .tasks
-            .iter()
-            .map(|t| {
-                json::obj(vec![
-                    ("vruntime", Json::u64(t.vruntime)),
-                    ("util", pelt(&t.util)),
-                    ("prev", opt_core(t.prev_core)),
-                    ("prev_prev", opt_core(t.prev_prev_core)),
-                    ("impatience", Json::u64(t.impatience as u64)),
-                ])
-            })
-            .collect();
-        let stats_arr = |cache: &[SocketStats]| -> Json {
-            Json::Arr(
-                cache
-                    .iter()
-                    .map(|s| {
-                        json::obj(vec![
-                            ("idle", Json::usize(s.idle)),
-                            ("load", snap::f64_bits(s.load)),
-                        ])
-                    })
-                    .collect(),
-            )
-        };
         json::obj(vec![
-            ("cores", Json::Arr(cores)),
-            ("tasks", Json::Arr(tasks)),
-            ("socket_cache", stats_arr(&self.socket_cache)),
-            ("domain_cache", stats_arr(&self.domain_cache)),
-            ("socket_cache_at", snap::opt_time_json(self.socket_cache_at)),
-            (
-                "online",
-                Json::Arr(self.online.iter().map(|c| Json::u64(c.0 as u64)).collect()),
-            ),
+            ("cores", self.cores.save()),
+            ("tasks", self.tasks.save()),
+            ("socket_cache", self.socket_cache.save()),
+            ("domain_cache", self.domain_cache.save()),
+            ("socket_cache_at", self.socket_cache_at.save()),
+            ("online", self.online.save()),
         ])
     }
 
     /// Restores state captured by [`KernelState::save`] into a freshly
     /// constructed `KernelState` for the same topology.
     pub fn load(&mut self, state: &Json) -> Result<(), String> {
-        let pelt = |j: &Json| -> Result<Pelt, String> {
-            Ok(Pelt::restore(
-                snap::get_f64_bits(j, "value")?,
-                snap::get_bool(j, "running")?,
-                snap::get_time(j, "at")?,
-            ))
-        };
-        let opt_core = |j: &Json, key: &str| -> Result<Option<CoreId>, String> {
-            let v = snap::field(j, key)?;
-            if v.is_null() {
-                return Ok(None);
-            }
-            v.as_u64()
-                .map(|c| Some(CoreId(c as u32)))
-                .ok_or_else(|| format!("field \"{key}\" is neither null nor a core id"))
-        };
-        let cores = snap::get_arr(state, "cores")?;
-        if cores.len() != self.cores.len() {
-            return Err(format!(
-                "snapshot has {} cores, machine has {}",
-                cores.len(),
-                self.cores.len()
-            ));
-        }
-        for (core, j) in self.cores.iter_mut().zip(cores) {
-            let curr = snap::field(j, "curr")?;
-            core.curr = if curr.is_null() {
-                None
-            } else {
-                Some(TaskId(
-                    curr.as_u64()
-                        .ok_or_else(|| "core \"curr\" is not a task id".to_string())?
-                        as u32,
-                ))
-            };
-            core.rq = snap::get_arr(j, "rq")?
-                .iter()
-                .map(|e| {
-                    let pair = e
-                        .as_arr()
-                        .filter(|a| a.len() == 2)
-                        .ok_or_else(|| "rq entry is not a pair".to_string())?;
-                    Ok((
-                        snap::elem_u64(&pair[0])?,
-                        TaskId(snap::elem_u64(&pair[1])? as u32),
-                    ))
-                })
-                .collect::<Result<BTreeSet<_>, String>>()?;
-            core.util = pelt(snap::field(j, "util")?)?;
-            core.min_vruntime = snap::get_u64(j, "min_vruntime")?;
-            core.pending = snap::get_u32(j, "pending")?;
-            core.last_used = snap::get_time(j, "last_used")?;
-            core.curr_started = snap::get_time(j, "curr_started")?;
-        }
-        self.tasks = snap::get_arr(state, "tasks")?
-            .iter()
-            .map(|j| {
-                Ok(TaskSched {
-                    vruntime: snap::get_u64(j, "vruntime")?,
-                    util: pelt(snap::field(j, "util")?)?,
-                    prev_core: opt_core(j, "prev")?,
-                    prev_prev_core: opt_core(j, "prev_prev")?,
-                    impatience: snap::get_u32(j, "impatience")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let sockets = snap::get_arr(state, "socket_cache")?;
-        if sockets.len() != self.socket_cache.len() {
-            return Err("snapshot socket count differs from machine".to_string());
-        }
-        for (s, j) in self.socket_cache.iter_mut().zip(sockets) {
-            s.idle = snap::get_usize(j, "idle")?;
-            s.load = snap::get_f64_bits(j, "load")?;
-        }
-        let domains = snap::get_arr(state, "domain_cache")?;
-        if domains.len() != self.domain_cache.len() {
-            return Err("snapshot CCX count differs from machine".to_string());
-        }
-        for (s, j) in self.domain_cache.iter_mut().zip(domains) {
-            s.idle = snap::get_usize(j, "idle")?;
-            s.load = snap::get_f64_bits(j, "load")?;
-        }
-        self.socket_cache_at = snap::get_opt_time(state, "socket_cache_at")?;
         let n = self.cores.len();
-        self.online = CpuSet::new(n);
-        for c in snap::get_arr(state, "online")? {
-            self.online.insert(CoreId(snap::elem_u64(c)? as u32));
-        }
+        self.cores = snap::load_len(state, "cores", n)?;
+        self.tasks = snap::load(state, "tasks")?;
+        self.socket_cache = snap::load_len(state, "socket_cache", self.socket_cache.len())?;
+        self.domain_cache = snap::load_len(state, "domain_cache", self.domain_cache.len())?;
+        self.socket_cache_at = snap::load(state, "socket_cache_at")?;
+        self.online = CpuSet::load(state, "online", n)?;
         // Re-derive the acceleration indexes from the restored state.
         self.idle = CpuSet::new(n);
         self.idle_free = CpuSet::new(n);

@@ -525,39 +525,24 @@ impl SchedPolicy for Nest {
         // between events. Membership is stored as sorted core-index
         // lists; `load` replays the inserts, which also rebuilds the
         // lazily allocated per-socket decomposition.
-        let members = |set: &NestSet| {
-            Json::Arr(
-                set.all
-                    .iter()
-                    .map(|core| Json::usize(core.index()))
-                    .collect(),
-            )
-        };
         json::obj(vec![
             ("kind", Json::str("nest")),
-            ("primary", members(&self.primary)),
-            ("reserve", members(&self.reserve)),
+            ("primary", self.primary.all.save()),
+            ("reserve", self.reserve.all.save()),
         ])
     }
 
     fn load(&mut self, topo: &Topology, state: &Json) -> Result<(), String> {
-        let kind = snap::get_str(state, "kind")?;
+        let kind: String = snap::load(state, "kind")?;
         if kind != "nest" {
             return Err(format!(
                 "snapshot carries \"{kind}\" policy state, but the scenario runs Nest"
             ));
         }
-        let read_set = |field: &'static str| -> Result<NestSet, String> {
+        let read_set = |key: &str| -> Result<NestSet, String> {
             let mut set = NestSet::new(topo.n_cores());
-            for entry in snap::get_arr(state, field)? {
-                let idx = snap::elem_u64(entry)? as usize;
-                if idx >= topo.n_cores() {
-                    return Err(format!(
-                        "nest \"{field}\" names core {idx}, but the machine has {} cores",
-                        topo.n_cores()
-                    ));
-                }
-                set.insert(topo, CoreId::from_index(idx));
+            for core in CpuSet::load(state, key, topo.n_cores())?.iter() {
+                set.insert(topo, core);
             }
             Ok(set)
         };

@@ -67,8 +67,11 @@ impl Pelt {
     }
 
     fn decay_factor(dt_ns: u64) -> f64 {
-        // Memoized `powf`: scheduler activity clusters on tick and
-        // millisecond boundaries, so the same `dt` recurs millions of
+        // `2^-x`, written as `exp2` rather than `0.5.powf(x)`: LLVM
+        // rewrites that `powf` to `exp2` in optimised builds only, so the
+        // `powf` form made debug and release runs differ in the last bits
+        // of PELT state. Memoized: scheduler activity clusters on tick
+        // and millisecond boundaries, so the same `dt` recurs millions of
         // times per run (the self-profiler counts ~28M decay updates on
         // figure 4 alone). The cache is keyed on the exact integer `dt`
         // and stores the result of the identical expression, so hits are
@@ -85,7 +88,7 @@ impl Pelt {
             if key == dt_ns {
                 return value;
             }
-            let value = 0.5f64.powf(dt_ns as f64 / PELT_HALFLIFE_NS as f64);
+            let value = (-(dt_ns as f64 / PELT_HALFLIFE_NS as f64)).exp2();
             slot.set((dt_ns, value));
             value
         })
@@ -125,24 +128,16 @@ impl Pelt {
         let contrib = if self.running { 1.0 - d } else { 0.0 };
         self.value * d + contrib
     }
-
-    /// Returns the raw `(value, running, last_update)` state for a
-    /// snapshot. `value` is the *stored* average as of `last_update`,
-    /// not the lazily decayed current value — exactly what
-    /// [`Pelt::restore`] needs to reproduce future folds bit for bit.
-    pub fn snap(&self) -> (f64, bool, Time) {
-        (self.value, self.running, self.last_update)
-    }
-
-    /// Reconstructs an average from state captured by [`Pelt::snap`].
-    pub fn restore(value: f64, running: bool, last_update: Time) -> Pelt {
-        Pelt {
-            value,
-            running,
-            last_update,
-        }
-    }
 }
+
+// The snapshot stores the *raw* average as of `last_update`, not the
+// lazily decayed current value — exactly what a restore needs to
+// reproduce future folds bit for bit.
+nest_simcore::snap_struct!(Pelt {
+    "value": value,
+    "running": running,
+    "at": last_update,
+});
 
 #[cfg(test)]
 mod tests {

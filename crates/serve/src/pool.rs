@@ -6,8 +6,9 @@
 //! `nest-workloads`). The behaviours are draw-for-draw identical to the
 //! originals so existing scenarios stay byte-deterministic.
 
-use nest_simcore::json::{self, Json};
-use nest_simcore::{snap, Action, Behavior, BehaviorRegistry, ChannelId, SimRng};
+use nest_simcore::json::Json;
+use nest_simcore::snap::Snap;
+use nest_simcore::{snap_struct, Action, Behavior, BehaviorRegistry, ChannelId, SimRng};
 
 /// Registry kind under which [`OpenLoopDriver`] snapshots itself.
 const DRIVER_KIND: &str = "serve.driver";
@@ -17,27 +18,10 @@ const WORKER_KIND: &str = "serve.worker";
 /// Registers this crate's behaviours with a snapshot-restore registry.
 pub fn register_behaviors(reg: &mut BehaviorRegistry) {
     reg.register(DRIVER_KIND, |state, _| {
-        Ok(Box::new(OpenLoopDriver {
-            ch: ChannelId(snap::get_u32(state, "ch")?),
-            remaining: snap::get_u32(state, "remaining")?,
-            interarrival_us: snap::get_f64_bits(state, "interarrival_us")?,
-            send_next: snap::get_bool(state, "send_next")?,
-        }))
+        Ok(Box::new(OpenLoopDriver::load(state)?))
     });
     reg.register(WORKER_KIND, |state, _| {
-        let reply = snap::field(state, "reply_ch")?;
-        Ok(Box::new(ServiceWorker {
-            request_ch: ChannelId(snap::get_u32(state, "request_ch")?),
-            reply_ch: match reply.as_u64() {
-                Some(ch) => Some(ChannelId(ch as u32)),
-                None if reply.is_null() => None,
-                None => return Err("reply_ch is neither null nor an integer".to_string()),
-            },
-            quota: snap::get_u32(state, "quota")?,
-            service_cycles: snap::get_u64(state, "service_cycles")?,
-            jitter: snap::get_f64_bits(state, "jitter")?,
-            phase: snap::get_u32(state, "phase")? as u8,
-        }))
+        Ok(Box::new(ServiceWorker::load(state)?))
     });
 }
 
@@ -77,17 +61,16 @@ impl Behavior for OpenLoopDriver {
     }
 
     fn snap(&self) -> Option<(&'static str, Json)> {
-        Some((
-            DRIVER_KIND,
-            json::obj(vec![
-                ("ch", Json::u64(self.ch.0 as u64)),
-                ("remaining", Json::u64(self.remaining as u64)),
-                ("interarrival_us", snap::f64_bits(self.interarrival_us)),
-                ("send_next", Json::Bool(self.send_next)),
-            ]),
-        ))
+        Some((DRIVER_KIND, self.save()))
     }
 }
+
+snap_struct!(OpenLoopDriver {
+    "ch": ch,
+    "remaining": remaining,
+    "interarrival_us": interarrival_us,
+    "send_next": send_next,
+});
 
 /// Service worker with a fixed request quota: receive → compute, with an
 /// optional reply send closing each iteration (`reply_ch`).
@@ -149,19 +132,18 @@ impl Behavior for ServiceWorker {
     }
 
     fn snap(&self) -> Option<(&'static str, Json)> {
-        Some((
-            WORKER_KIND,
-            json::obj(vec![
-                ("request_ch", Json::u64(self.request_ch.0 as u64)),
-                ("reply_ch", Json::opt_u64(self.reply_ch.map(|c| c.0 as u64))),
-                ("quota", Json::u64(self.quota as u64)),
-                ("service_cycles", Json::u64(self.service_cycles)),
-                ("jitter", snap::f64_bits(self.jitter)),
-                ("phase", Json::u64(self.phase as u64)),
-            ]),
-        ))
+        Some((WORKER_KIND, self.save()))
     }
 }
+
+snap_struct!(ServiceWorker {
+    "request_ch": request_ch,
+    "reply_ch": reply_ch,
+    "quota": quota,
+    "service_cycles": service_cycles,
+    "jitter": jitter,
+    "phase": phase,
+});
 
 #[cfg(test)]
 mod tests {

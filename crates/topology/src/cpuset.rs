@@ -9,7 +9,8 @@
 
 use std::fmt;
 
-use nest_simcore::CoreId;
+use nest_simcore::snap::{self, Snap};
+use nest_simcore::{CoreId, Json};
 
 const WORD_BITS: usize = 64;
 
@@ -281,6 +282,28 @@ impl CpuSet {
             .zip(&other.words)
             .map(|(a, b)| (a & b).count_ones() as usize)
             .sum()
+    }
+}
+
+impl CpuSet {
+    /// Snapshot form: the member core ids, ascending.
+    pub fn save(&self) -> Json {
+        self.iter().collect::<Vec<_>>().save()
+    }
+
+    /// Reads field `key` written by [`CpuSet::save`] as a set over an
+    /// `n`-core machine; a member outside the machine is an error.
+    pub fn load(obj: &Json, key: &str, n: usize) -> Result<CpuSet, String> {
+        let mut set = CpuSet::new(n);
+        for core in snap::load::<Vec<CoreId>>(obj, key)? {
+            if core.index() >= n {
+                return Err(format!(
+                    "snapshot field \"{key}\" names core {core}, but the machine has {n} cores"
+                ));
+            }
+            set.insert(core);
+        }
+        Ok(set)
     }
 }
 

@@ -13,7 +13,8 @@
 //! CFS-schedutil runtimes land near the values printed atop Figure 5.
 
 use nest_simcore::json::{self, Json};
-use nest_simcore::{snap, Action, Behavior, BehaviorRegistry, SimRng, SimSetup, TaskSpec};
+use nest_simcore::snap::{self, Snap};
+use nest_simcore::{Action, Behavior, BehaviorRegistry, SimRng, SimSetup, TaskSpec};
 
 use crate::{ms_at_ghz, Workload};
 
@@ -21,10 +22,10 @@ const ROOT_KIND: &str = "cfg.root";
 
 pub(crate) fn register(reg: &mut BehaviorRegistry) {
     reg.register(ROOT_KIND, |state, reg| {
-        let name = snap::get_str(state, "spec")?;
-        let spec = by_name(name)
+        let name: String = snap::load(state, "spec")?;
+        let spec = by_name(&name)
             .ok_or_else(|| format!("snapshot names unknown configure benchmark \"{name}\""))?;
-        let phase = match snap::get_str(state, "phase")? {
+        let phase = match snap::load::<String>(state, "phase")?.as_str() {
             "shell" => RootPhase::Shell,
             "fork_and_wait" => RootPhase::ForkAndWait,
             "tail" => RootPhase::Tail,
@@ -37,8 +38,8 @@ pub(crate) fn register(reg: &mut BehaviorRegistry) {
             .collect::<Result<Vec<Action>, String>>()?;
         Ok(Box::new(ConfigureRoot {
             spec,
-            tests_left: snap::get_u32(state, "tests_left")?,
-            tail_left: snap::get_u32(state, "tail_left")?,
+            tests_left: snap::load(state, "tests_left")?,
+            tail_left: snap::load(state, "tail_left")?,
             phase,
             pendings,
         }))
@@ -239,8 +240,8 @@ impl Behavior for ConfigureRoot {
             ROOT_KIND,
             json::obj(vec![
                 ("spec", Json::str(self.spec.name)),
-                ("tests_left", Json::u64(self.tests_left as u64)),
-                ("tail_left", Json::u64(self.tail_left as u64)),
+                ("tests_left", self.tests_left.save()),
+                ("tail_left", self.tail_left.save()),
                 ("phase", Json::str(phase)),
                 ("pendings", Json::Arr(pendings?)),
             ]),

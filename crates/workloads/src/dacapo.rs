@@ -16,10 +16,9 @@
 //! full experiment matrix tractable and does not affect relative
 //! speedups, which are rate-based).
 
-use nest_simcore::json::{self, Json};
-use nest_simcore::{
-    snap, Action, Behavior, BehaviorRegistry, ChannelId, SimRng, SimSetup, TaskSpec,
-};
+use nest_simcore::json::Json;
+use nest_simcore::snap::Snap;
+use nest_simcore::{snap_struct, Action, Behavior, BehaviorRegistry, SimRng, SimSetup, TaskSpec};
 
 use crate::{ms_at_ghz, Workload};
 
@@ -28,31 +27,12 @@ const QUEUE_KIND: &str = "dc.queue";
 const BACKGROUND_KIND: &str = "dc.background";
 
 pub(crate) fn register(reg: &mut BehaviorRegistry) {
-    reg.register(POOL_KIND, |state, _| {
-        Ok(Box::new(PoolWorker {
-            chunk_cycles: snap::get_u64(state, "chunk_cycles")?,
-            sleep_ns: snap::get_u64(state, "sleep_ns")?,
-            remaining_cycles: snap::get_u64(state, "remaining_cycles")?,
-            jitter: snap::get_f64_bits(state, "jitter")?,
-            compute_next: snap::get_bool(state, "compute_next")?,
-        }))
-    });
+    reg.register(POOL_KIND, |state, _| Ok(Box::new(PoolWorker::load(state)?)));
     reg.register(QUEUE_KIND, |state, _| {
-        Ok(Box::new(QueueWorker {
-            ch: ChannelId(snap::get_u32(state, "ch")?),
-            quota: snap::get_u32(state, "quota")?,
-            burst_chunks: snap::get_u32(state, "burst_chunks")?,
-            chunk_cycles: snap::get_u64(state, "chunk_cycles")?,
-            jitter: snap::get_f64_bits(state, "jitter")?,
-            phase: snap::get_u32(state, "phase")?,
-        }))
+        Ok(Box::new(QueueWorker::load(state)?))
     });
     reg.register(BACKGROUND_KIND, |state, _| {
-        Ok(Box::new(BackgroundThread {
-            iterations: snap::get_u32(state, "iterations")?,
-            period_ns: snap::get_u64(state, "period_ns")?,
-            burst_cycles: snap::get_u64(state, "burst_cycles")?,
-        }))
+        Ok(Box::new(BackgroundThread::load(state)?))
     });
 }
 
@@ -190,6 +170,14 @@ struct PoolWorker {
     compute_next: bool,
 }
 
+snap_struct!(PoolWorker {
+    "chunk_cycles": chunk_cycles,
+    "sleep_ns": sleep_ns,
+    "remaining_cycles": remaining_cycles,
+    "jitter": jitter,
+    "compute_next": compute_next,
+});
+
 impl Behavior for PoolWorker {
     fn next(&mut self, rng: &mut SimRng) -> Action {
         if self.remaining_cycles == 0 {
@@ -212,16 +200,7 @@ impl Behavior for PoolWorker {
     }
 
     fn snap(&self) -> Option<(&'static str, Json)> {
-        Some((
-            POOL_KIND,
-            json::obj(vec![
-                ("chunk_cycles", Json::u64(self.chunk_cycles)),
-                ("sleep_ns", Json::u64(self.sleep_ns)),
-                ("remaining_cycles", Json::u64(self.remaining_cycles)),
-                ("jitter", snap::f64_bits(self.jitter)),
-                ("compute_next", Json::Bool(self.compute_next)),
-            ]),
-        ))
+        Some((POOL_KIND, self.save()))
     }
 }
 
@@ -237,6 +216,15 @@ struct QueueWorker {
     /// 0 = recv next, 1..=burst = computing, burst+1 = send.
     phase: u32,
 }
+
+snap_struct!(QueueWorker {
+    "ch": ch,
+    "quota": quota,
+    "burst_chunks": burst_chunks,
+    "chunk_cycles": chunk_cycles,
+    "jitter": jitter,
+    "phase": phase,
+});
 
 impl Behavior for QueueWorker {
     fn next(&mut self, rng: &mut SimRng) -> Action {
@@ -262,17 +250,7 @@ impl Behavior for QueueWorker {
     }
 
     fn snap(&self) -> Option<(&'static str, Json)> {
-        Some((
-            QUEUE_KIND,
-            json::obj(vec![
-                ("ch", Json::u64(self.ch.0 as u64)),
-                ("quota", Json::u64(self.quota as u64)),
-                ("burst_chunks", Json::u64(self.burst_chunks as u64)),
-                ("chunk_cycles", Json::u64(self.chunk_cycles)),
-                ("jitter", snap::f64_bits(self.jitter)),
-                ("phase", Json::u64(self.phase as u64)),
-            ]),
-        ))
+        Some((QUEUE_KIND, self.save()))
     }
 }
 
@@ -282,6 +260,12 @@ struct BackgroundThread {
     period_ns: u64,
     burst_cycles: u64,
 }
+
+snap_struct!(BackgroundThread {
+    "iterations": iterations,
+    "period_ns": period_ns,
+    "burst_cycles": burst_cycles,
+});
 
 impl Behavior for BackgroundThread {
     fn next(&mut self, rng: &mut SimRng) -> Action {
@@ -301,14 +285,7 @@ impl Behavior for BackgroundThread {
     }
 
     fn snap(&self) -> Option<(&'static str, Json)> {
-        Some((
-            BACKGROUND_KIND,
-            json::obj(vec![
-                ("iterations", Json::u64(self.iterations as u64)),
-                ("period_ns", Json::u64(self.period_ns)),
-                ("burst_cycles", Json::u64(self.burst_cycles)),
-            ]),
-        ))
+        Some((BACKGROUND_KIND, self.save()))
     }
 }
 

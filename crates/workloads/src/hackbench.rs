@@ -8,9 +8,10 @@
 //! the paper's `-g 100 -l 10000` to keep simulation tractable; the
 //! *structure* (pairs, message batching, full-machine churn) is preserved.
 
-use nest_simcore::json::{self, Json};
+use nest_simcore::json::Json;
+use nest_simcore::snap::Snap;
 use nest_simcore::{
-    snap, Action, Behavior, BehaviorRegistry, ChannelId, SimRng, SimSetup, TaskSpec,
+    snap_struct, Action, Behavior, BehaviorRegistry, ChannelId, SimRng, SimSetup, TaskSpec,
 };
 
 use crate::Workload;
@@ -19,21 +20,9 @@ const SENDER_KIND: &str = "hb.sender";
 const RECEIVER_KIND: &str = "hb.receiver";
 
 pub(crate) fn register(reg: &mut BehaviorRegistry) {
-    reg.register(SENDER_KIND, |state, _| {
-        Ok(Box::new(Sender {
-            ch: ChannelId(snap::get_u32(state, "ch")?),
-            loops: snap::get_u32(state, "loops")?,
-            msg_cycles: snap::get_u64(state, "msg_cycles")?,
-            send_next: snap::get_bool(state, "send_next")?,
-        }))
-    });
+    reg.register(SENDER_KIND, |state, _| Ok(Box::new(Sender::load(state)?)));
     reg.register(RECEIVER_KIND, |state, _| {
-        Ok(Box::new(Receiver {
-            ch: ChannelId(snap::get_u32(state, "ch")?),
-            msgs: snap::get_u32(state, "msgs")?,
-            msg_cycles: snap::get_u64(state, "msg_cycles")?,
-            recv_next: snap::get_bool(state, "recv_next")?,
-        }))
+        Ok(Box::new(Receiver::load(state)?))
     });
 }
 
@@ -68,6 +57,13 @@ struct Sender {
     send_next: bool,
 }
 
+snap_struct!(Sender {
+    "ch": ch,
+    "loops": loops,
+    "msg_cycles": msg_cycles,
+    "send_next": send_next,
+});
+
 impl Behavior for Sender {
     fn next(&mut self, _rng: &mut SimRng) -> Action {
         if self.send_next {
@@ -88,15 +84,7 @@ impl Behavior for Sender {
     }
 
     fn snap(&self) -> Option<(&'static str, Json)> {
-        Some((
-            SENDER_KIND,
-            json::obj(vec![
-                ("ch", Json::u64(self.ch.0 as u64)),
-                ("loops", Json::u64(self.loops as u64)),
-                ("msg_cycles", Json::u64(self.msg_cycles)),
-                ("send_next", Json::Bool(self.send_next)),
-            ]),
-        ))
+        Some((SENDER_KIND, self.save()))
     }
 }
 
@@ -106,6 +94,13 @@ struct Receiver {
     msg_cycles: u64,
     recv_next: bool,
 }
+
+snap_struct!(Receiver {
+    "ch": ch,
+    "msgs": msgs,
+    "msg_cycles": msg_cycles,
+    "recv_next": recv_next,
+});
 
 impl Behavior for Receiver {
     fn next(&mut self, _rng: &mut SimRng) -> Action {
@@ -125,15 +120,7 @@ impl Behavior for Receiver {
     }
 
     fn snap(&self) -> Option<(&'static str, Json)> {
-        Some((
-            RECEIVER_KIND,
-            json::obj(vec![
-                ("ch", Json::u64(self.ch.0 as u64)),
-                ("msgs", Json::u64(self.msgs as u64)),
-                ("msg_cycles", Json::u64(self.msg_cycles)),
-                ("recv_next", Json::Bool(self.recv_next)),
-            ]),
-        ))
+        Some((RECEIVER_KIND, self.save()))
     }
 }
 

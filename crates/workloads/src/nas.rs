@@ -9,8 +9,9 @@
 //! al. observed.
 
 use nest_simcore::json::{self, Json};
+use nest_simcore::snap::{self, Snap};
 use nest_simcore::{
-    snap, Action, BarrierId, Behavior, BehaviorRegistry, SimRng, SimSetup, TaskSpec,
+    snap_struct, Action, BarrierId, Behavior, BehaviorRegistry, SimRng, SimSetup, TaskSpec,
 };
 
 use crate::{ms_at_ghz, Workload};
@@ -18,29 +19,9 @@ use crate::{ms_at_ghz, Workload};
 const WORKER_KIND: &str = "nas.worker";
 const MASTER_KIND: &str = "nas.master";
 
-fn worker_to_json(w: &NasWorker) -> Json {
-    json::obj(vec![
-        ("iterations", Json::u64(w.iterations as u64)),
-        ("chunk_cycles", Json::u64(w.chunk_cycles)),
-        ("jitter", snap::f64_bits(w.jitter)),
-        ("barrier", Json::u64(w.barrier.0 as u64)),
-        ("at_barrier", Json::Bool(w.at_barrier)),
-    ])
-}
-
-fn worker_from_json(state: &Json) -> Result<NasWorker, String> {
-    Ok(NasWorker {
-        iterations: snap::get_u32(state, "iterations")?,
-        chunk_cycles: snap::get_u64(state, "chunk_cycles")?,
-        jitter: snap::get_f64_bits(state, "jitter")?,
-        barrier: BarrierId(snap::get_u32(state, "barrier")?),
-        at_barrier: snap::get_bool(state, "at_barrier")?,
-    })
-}
-
 pub(crate) fn register(reg: &mut BehaviorRegistry) {
     reg.register(WORKER_KIND, |state, _| {
-        Ok(Box::new(worker_from_json(state)?))
+        Ok(Box::new(NasWorker::load(state)?))
     });
     reg.register(MASTER_KIND, |state, reg| {
         let script = snap::get_arr(state, "script")?
@@ -49,9 +30,9 @@ pub(crate) fn register(reg: &mut BehaviorRegistry) {
             .collect::<Result<Vec<Action>, String>>()?;
         Ok(Box::new(MasterBehavior {
             script: script.into_iter(),
-            worker: worker_from_json(snap::field(state, "worker")?)?,
-            in_worker_phase: snap::get_bool(state, "in_worker_phase")?,
-            waited: snap::get_bool(state, "waited")?,
+            worker: snap::load(state, "worker")?,
+            in_worker_phase: snap::load(state, "in_worker_phase")?,
+            waited: snap::load(state, "waited")?,
         }))
     });
 }
@@ -113,6 +94,14 @@ struct NasWorker {
     at_barrier: bool,
 }
 
+snap_struct!(NasWorker {
+    "iterations": iterations,
+    "chunk_cycles": chunk_cycles,
+    "jitter": jitter,
+    "barrier": barrier,
+    "at_barrier": at_barrier,
+});
+
 impl Behavior for NasWorker {
     fn next(&mut self, rng: &mut SimRng) -> Action {
         if self.at_barrier {
@@ -130,7 +119,7 @@ impl Behavior for NasWorker {
     }
 
     fn snap(&self) -> Option<(&'static str, Json)> {
-        Some((WORKER_KIND, worker_to_json(self)))
+        Some((WORKER_KIND, self.save()))
     }
 }
 
@@ -250,9 +239,9 @@ impl Behavior for MasterBehavior {
             MASTER_KIND,
             json::obj(vec![
                 ("script", Json::Arr(script?)),
-                ("worker", worker_to_json(&self.worker)),
-                ("in_worker_phase", Json::Bool(self.in_worker_phase)),
-                ("waited", Json::Bool(self.waited)),
+                ("worker", self.worker.save()),
+                ("in_worker_phase", self.in_worker_phase.save()),
+                ("waited", self.waited.save()),
             ]),
         ))
     }

@@ -11,10 +11,9 @@
 //! ([`archetype_suite`]) spanning the same behaviour space; DESIGN.md
 //! documents the substitution.
 
-use nest_simcore::json::{self, Json};
-use nest_simcore::{
-    snap, Action, BarrierId, Behavior, BehaviorRegistry, SimRng, SimSetup, TaskSpec,
-};
+use nest_simcore::json::Json;
+use nest_simcore::snap::Snap;
+use nest_simcore::{snap_struct, Action, Behavior, BehaviorRegistry, SimRng, SimSetup, TaskSpec};
 
 use crate::{ms_at_ghz, Workload};
 
@@ -22,23 +21,9 @@ const STORM_KIND: &str = "px.storm";
 const BARRIER_KIND: &str = "px.barrier";
 
 pub(crate) fn register(reg: &mut BehaviorRegistry) {
-    reg.register(STORM_KIND, |state, _| {
-        Ok(Box::new(StormRoot {
-            task_cycles: snap::get_u64(state, "task_cycles")?,
-            concurrent: snap::get_u32(state, "concurrent")?,
-            remaining: snap::get_u32(state, "remaining")?,
-            phase: snap::get_u32(state, "phase")? as u8,
-            to_fork: snap::get_u32(state, "to_fork")?,
-        }))
-    });
+    reg.register(STORM_KIND, |state, _| Ok(Box::new(StormRoot::load(state)?)));
     reg.register(BARRIER_KIND, |state, _| {
-        Ok(Box::new(BarrierWorker {
-            iterations: snap::get_u32(state, "iterations")?,
-            chunk_cycles: snap::get_u64(state, "chunk_cycles")?,
-            jitter: snap::get_f64_bits(state, "jitter")?,
-            barrier: BarrierId(snap::get_u32(state, "barrier")?),
-            at_barrier: snap::get_bool(state, "at_barrier")?,
-        }))
+        Ok(Box::new(BarrierWorker::load(state)?))
     });
 }
 
@@ -394,6 +379,14 @@ struct StormRoot {
     to_fork: u32,
 }
 
+snap_struct!(StormRoot {
+    "task_cycles": task_cycles,
+    "concurrent": concurrent,
+    "remaining": remaining,
+    "phase": phase,
+    "to_fork": to_fork,
+});
+
 impl Behavior for StormRoot {
     fn next(&mut self, rng: &mut SimRng) -> Action {
         loop {
@@ -426,16 +419,7 @@ impl Behavior for StormRoot {
     }
 
     fn snap(&self) -> Option<(&'static str, Json)> {
-        Some((
-            STORM_KIND,
-            json::obj(vec![
-                ("task_cycles", Json::u64(self.task_cycles)),
-                ("concurrent", Json::u64(self.concurrent as u64)),
-                ("remaining", Json::u64(self.remaining as u64)),
-                ("phase", Json::u64(self.phase as u64)),
-                ("to_fork", Json::u64(self.to_fork as u64)),
-            ]),
-        ))
+        Some((STORM_KIND, self.save()))
     }
 }
 
@@ -552,6 +536,14 @@ struct BarrierWorker {
     at_barrier: bool,
 }
 
+snap_struct!(BarrierWorker {
+    "iterations": iterations,
+    "chunk_cycles": chunk_cycles,
+    "jitter": jitter,
+    "barrier": barrier,
+    "at_barrier": at_barrier,
+});
+
 impl Behavior for BarrierWorker {
     fn next(&mut self, rng: &mut SimRng) -> Action {
         if self.at_barrier {
@@ -569,16 +561,7 @@ impl Behavior for BarrierWorker {
     }
 
     fn snap(&self) -> Option<(&'static str, Json)> {
-        Some((
-            BARRIER_KIND,
-            json::obj(vec![
-                ("iterations", Json::u64(self.iterations as u64)),
-                ("chunk_cycles", Json::u64(self.chunk_cycles)),
-                ("jitter", snap::f64_bits(self.jitter)),
-                ("barrier", Json::u64(self.barrier.0 as u64)),
-                ("at_barrier", Json::Bool(self.at_barrier)),
-            ]),
-        ))
+        Some((BARRIER_KIND, self.save()))
     }
 }
 

@@ -8,9 +8,10 @@
 //! Phoronix harness.
 
 use nest_serve::ServiceWorker;
-use nest_simcore::json::{self, Json};
+use nest_simcore::json::Json;
+use nest_simcore::snap::Snap;
 use nest_simcore::{
-    snap, Action, Behavior, BehaviorRegistry, ChannelId, SimRng, SimSetup, TaskSpec,
+    snap_struct, Action, Behavior, BehaviorRegistry, ChannelId, SimRng, SimSetup, TaskSpec,
 };
 
 use crate::{ms_at_ghz, Workload};
@@ -19,13 +20,7 @@ const DISPATCHER_KIND: &str = "sch.dispatcher";
 
 pub(crate) fn register(reg: &mut BehaviorRegistry) {
     reg.register(DISPATCHER_KIND, |state, _| {
-        Ok(Box::new(Dispatcher {
-            request_ch: ChannelId(snap::get_u32(state, "request_ch")?),
-            reply_ch: ChannelId(snap::get_u32(state, "reply_ch")?),
-            batch: snap::get_u32(state, "batch")?,
-            outstanding: snap::get_u32(state, "outstanding")?,
-            phase: snap::get_u32(state, "phase")? as u8,
-        }))
+        Ok(Box::new(Dispatcher::load(state)?))
     });
 }
 
@@ -65,6 +60,14 @@ struct Dispatcher {
     phase: u8,
 }
 
+snap_struct!(Dispatcher {
+    "request_ch": request_ch,
+    "reply_ch": reply_ch,
+    "batch": batch,
+    "outstanding": outstanding,
+    "phase": phase,
+});
+
 impl Behavior for Dispatcher {
     fn next(&mut self, _rng: &mut SimRng) -> Action {
         if self.phase == 0 {
@@ -95,16 +98,7 @@ impl Behavior for Dispatcher {
     }
 
     fn snap(&self) -> Option<(&'static str, Json)> {
-        Some((
-            DISPATCHER_KIND,
-            json::obj(vec![
-                ("request_ch", Json::u64(self.request_ch.0 as u64)),
-                ("reply_ch", Json::u64(self.reply_ch.0 as u64)),
-                ("batch", Json::u64(self.batch as u64)),
-                ("outstanding", Json::u64(self.outstanding as u64)),
-                ("phase", Json::u64(self.phase as u64)),
-            ]),
-        ))
+        Some((DISPATCHER_KIND, self.save()))
     }
 }
 

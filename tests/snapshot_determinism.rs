@@ -113,3 +113,63 @@ fn a_snapshot_never_restores_onto_a_different_scenario() {
         "unexpected error kind: {err}"
     );
 }
+
+/// One pinned snapshot: `(machine, policy, governor, workload, faults,
+/// pause ms, body checksum, document length)`.
+type Pin = (
+    &'static str,
+    &'static str,
+    &'static str,
+    &'static str,
+    &'static str,
+    u64,
+    &'static str,
+    usize,
+);
+
+/// Snapshot bodies pinned byte for byte (seed 42, no scenario block).
+/// Together the rows cover every probe, behaviour kind, policy, fault
+/// kind and the per-CCX kernel caches, so a change made symmetrically to
+/// a component's save and load — invisible to the round-trip tests above
+/// — still fails here.
+#[rustfmt::skip]
+const PINS: [Pin; 10] = [
+    ("5218", "nest", "schedutil", "serve:rate=800,dist=lognorm,requests=200", "", 125, "ee085b914ccda5ba", 284384),
+    ("5218", "nest", "schedutil", "configure:gdb", "", 50, "3130b33dacdccc06", 73938),
+    ("5218", "smove", "schedutil", "configure:gdb", "", 50, "9f4a35c110e56118", 74198),
+    ("5218", "cfs", "performance", "hackbench", "", 20, "4933e595d00b111f", 409502),
+    ("6130-2", "nest", "schedutil", "dacapo:h2", "", 200, "1135d90db9482bd8", 150840),
+    ("6130-2", "nest", "schedutil", "nas:bt.C.x", "", 200, "9fa305d4aaa537fd", 173897),
+    ("5218", "nest", "schedutil", "schbench:mt=4,w=4", "", 50, "e4cf85315381722c", 107713),
+    ("5218", "nest", "schedutil", "phoronix:zstd compression 7", "", 50, "4215a9824e782598", 183442),
+    ("5218", "nest", "schedutil", "configure:gdb", "hotplug=2@20ms:100ms,throttle=s0:0.8,jitter=50us,stragglers=2@10ms:100ms", 60, "774ea603ed3b418a", 92509),
+    ("synth:sockets=2,ccx=4,cores=8", "nest:domain=ccx", "schedutil", "schbench:mt=8,w=8,requests=20", "", 50, "9026f7ff2b7df237", 257926),
+];
+
+#[test]
+fn snapshot_bytes_are_pinned() {
+    let mut drift = Vec::new();
+    for (machine, policy, governor, workload, faults, pause_ms, checksum, bytes) in PINS {
+        let s = Scenario::parse(machine, policy, governor, workload)
+            .expect("pinned scenario parses")
+            .with_seed(42)
+            .with_faults(faults)
+            .expect("pinned fault plan parses");
+        let text = pause(&s, Time::from_millis(pause_ms))
+            .snapshot(&s.identity(), nest_simcore::json::Json::Null)
+            .expect("snapshot serializes");
+        let (header, _) = nest_repro::read_header(&text).expect("snapshot header reads");
+        if (header.checksum.as_str(), text.len()) != (checksum, bytes) {
+            drift.push(format!(
+                "{machine} {policy} {governor} {workload} {faults}: checksum {} bytes {}, pinned {checksum} {bytes}",
+                header.checksum,
+                text.len()
+            ));
+        }
+    }
+    assert!(
+        drift.is_empty(),
+        "snapshot bytes moved:\n{}",
+        drift.join("\n")
+    );
+}
