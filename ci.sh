@@ -155,6 +155,9 @@ step ./scripts/verify_artifacts.sh
 # the benchmark's own runs, not here.
 step cargo run --quiet --offline --release --manifest-path perfbench/Cargo.toml -- \
     --seed 42 --seconds 0 --trace 1
+# The benchmark's own tests (a workspace of their own, so the workspace
+# test step above never reaches them): they drive the simulator crates.
+step cargo test --quiet --offline --release --manifest-path perfbench/Cargo.toml
 
 echo
 echo "==> CI gate passed"

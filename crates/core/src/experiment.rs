@@ -6,18 +6,18 @@
 //! deviation of the improvement — exactly how the paper's bar graphs are
 //! constructed.
 //!
-//! The *aggregation* ([`Comparison::from_summaries`]) is a pure function
-//! over plain-data [`RunSummary`]s, so it produces identical output
-//! whether the runs were executed serially here ([`compare_schedulers`])
-//! or fanned out across worker threads and the result cache by
-//! `nest-harness`, which is the path every figure binary uses.
+//! The runs themselves are executed elsewhere — fanned out across
+//! worker threads and the result cache by `nest-harness` for every
+//! figure binary, or serially by [`run_many`](crate::run_many). The
+//! *aggregation* ([`Comparison::from_summaries`]) is a pure function over
+//! their plain-data [`RunSummary`]s, so it produces identical output
+//! either way.
 
 use nest_freq::Governor;
 use nest_metrics::stats::{improvement_stats, savings_pct, speedup_pct, Stats};
 use nest_metrics::RunSummary;
-use nest_workloads::Workload;
 
-use crate::sim::{run_many, PolicyKind, SimConfig};
+use crate::sim::PolicyKind;
 
 /// One scheduler configuration in a comparison.
 #[derive(Clone, Debug)]
@@ -43,13 +43,6 @@ impl SchedulerSetup {
             SchedulerSetup::new(PolicyKind::Nest, Governor::Schedutil),
             SchedulerSetup::new(PolicyKind::Nest, Governor::Performance),
         ]
-    }
-
-    /// The configure-figure set, which adds Smove-schedutil (Figure 5).
-    pub fn configure_set() -> Vec<SchedulerSetup> {
-        let mut v = SchedulerSetup::paper_set();
-        v.push(SchedulerSetup::new(PolicyKind::Smove, Governor::Schedutil));
-        v
     }
 
     /// Figure label like `"Nest sched"`.
@@ -167,37 +160,6 @@ impl Comparison {
     }
 }
 
-/// Runs `schedulers[0]` as the baseline and every other configuration
-/// against it on `machine`/`workload`, serially in this thread.
-///
-/// Figure binaries use `nest-harness` instead, which executes the same
-/// cells in parallel with result caching; this entry point remains for
-/// unit tests, examples, and one-off API use.
-pub fn compare_schedulers(
-    machine: &nest_topology::MachineSpec,
-    workload: &dyn Workload,
-    schedulers: &[SchedulerSetup],
-    runs: usize,
-    seed: u64,
-) -> Comparison {
-    assert!(!schedulers.is_empty(), "need at least a baseline");
-    assert!(runs > 0, "need at least one run");
-    let summaries: Vec<Vec<RunSummary>> = schedulers
-        .iter()
-        .map(|s| {
-            let cfg = SimConfig::new(machine.clone())
-                .policy(s.policy.clone())
-                .governor(s.governor)
-                .seed(seed);
-            run_many(&cfg, workload, runs)
-                .iter()
-                .map(|r| r.summarize())
-                .collect()
-        })
-        .collect();
-    Comparison::from_summaries(&workload.name(), &machine.name, schedulers, summaries)
-}
-
 /// Formats a comparison as an aligned text table (the harness output).
 pub fn format_table(c: &Comparison) -> String {
     let mut out = String::new();
@@ -240,6 +202,7 @@ pub fn validate(c: &Comparison) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::{run_many, SimConfig};
     use nest_topology::presets;
     use nest_workloads::configure::Configure;
 
@@ -250,7 +213,20 @@ mod tests {
             SchedulerSetup::new(PolicyKind::Cfs, Governor::Schedutil),
             SchedulerSetup::new(PolicyKind::Nest, Governor::Schedutil),
         ];
-        let c = compare_schedulers(&machine, &Configure::named("gdb"), &schedulers, 2, 11);
+        let summaries = schedulers
+            .iter()
+            .map(|s| {
+                let cfg = SimConfig::new(machine.clone())
+                    .policy(s.policy.clone())
+                    .governor(s.governor)
+                    .seed(11);
+                run_many(&cfg, &Configure::named("gdb"), 2)
+                    .iter()
+                    .map(|r| r.summarize())
+                    .collect()
+            })
+            .collect();
+        let c = Comparison::from_summaries("gdb", &machine.name, &schedulers, summaries);
         assert_eq!(c.rows.len(), 2);
         assert!(c.rows[0].speedup_pct.is_none());
         assert!(c.rows[1].speedup_pct.is_some());
@@ -263,10 +239,11 @@ mod tests {
 
     #[test]
     fn paper_set_has_four_configs_plus_smove_for_configure() {
-        assert_eq!(SchedulerSetup::paper_set().len(), 4);
-        let cs = SchedulerSetup::configure_set();
-        assert_eq!(cs.len(), 5);
-        assert_eq!(cs[4].label(), "Smove sched");
+        let labels: Vec<String> = SchedulerSetup::paper_set()
+            .iter()
+            .map(SchedulerSetup::label)
+            .collect();
+        assert_eq!(labels, ["CFS sched", "CFS perf", "Nest sched", "Nest perf"]);
     }
 
     #[test]
@@ -283,38 +260,5 @@ mod tests {
         // Same figure label, different identity.
         assert_eq!(a.label(), b.label());
         assert_ne!(a.identity(), b.identity());
-    }
-
-    #[test]
-    fn from_summaries_matches_serial_compare() {
-        use crate::sim::run_seed;
-        let machine = presets::xeon_5218();
-        let w = Configure::named("gdb");
-        let schedulers = vec![
-            SchedulerSetup::new(PolicyKind::Cfs, Governor::Schedutil),
-            SchedulerSetup::new(PolicyKind::Nest, Governor::Schedutil),
-        ];
-        let serial = compare_schedulers(&machine, &w, &schedulers, 2, 9);
-        let summaries: Vec<Vec<RunSummary>> = schedulers
-            .iter()
-            .map(|s| {
-                (0..2)
-                    .map(|i| {
-                        let cfg = SimConfig::new(machine.clone())
-                            .policy(s.policy.clone())
-                            .governor(s.governor)
-                            .seed(run_seed(9, i));
-                        crate::sim::run_once(&cfg, &w).summarize()
-                    })
-                    .collect()
-            })
-            .collect();
-        let rebuilt = Comparison::from_summaries("gdb", &machine.name, &schedulers, summaries);
-        assert_eq!(serial.rows.len(), rebuilt.rows.len());
-        for (a, b) in serial.rows.iter().zip(&rebuilt.rows) {
-            assert_eq!(a.time.mean, b.time.mean);
-            assert_eq!(a.energy.mean, b.energy.mean);
-            assert_eq!(a.runs, b.runs);
-        }
     }
 }

@@ -44,10 +44,10 @@ use nest_fleet::{choose_host, BackoffSampler, FleetSpec, HedgeMode, HostView};
 use nest_metrics::{FleetMetrics, FleetRunStats, FleetWindow, TailHistogram};
 use nest_serve::{ServeSpec, REQUEST_LABEL_PREFIX};
 use nest_simcore::rng::mix64;
-use nest_simcore::{Probe, SimRng, TaskId, TaskSpec, Time, TraceEvent};
+use nest_simcore::{Probe, TaskId, TaskSpec, Time, TraceEvent};
 use nest_workloads::Workload;
 
-use crate::sim::{build_engine, collect_result, ProbeRig, RunResult, SimConfig};
+use crate::sim::{build_engine, collect_result, spawn_tasks, ProbeRig, RunResult, SimConfig};
 
 /// Salt separating per-host seed streams from every other consumer of the
 /// cell seed.
@@ -219,10 +219,7 @@ impl<'a> Driver<'a> {
         probes.extend(extra_probes);
         let (mut engine, rig) = build_engine(&hcfg, slos, probes);
         engine.set_keepalive(true);
-        let mut wl_rng = SimRng::new(hcfg.seed ^ 0xD00D_F00D);
-        for task in self.workload.build(&mut engine, &mut wl_rng) {
-            engine.spawn(task);
-        }
+        spawn_tasks(&mut engine, hcfg.seed, self.workload);
         Host {
             engine: Some(engine),
             rig: Some(rig),

@@ -30,7 +30,7 @@ pub mod fleet;
 pub mod sim;
 pub mod snapshot;
 
-pub use experiment::{compare_schedulers, Comparison, SchedulerSetup};
+pub use experiment::{Comparison, SchedulerSetup};
 pub use sim::{run_many, run_once, run_once_with, run_seed, PolicyKind, RunResult, SimConfig};
 pub use snapshot::{
     behavior_registry, read_header, restore, run_until, PausedSim, Progress, SnapError,

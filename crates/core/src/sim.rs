@@ -79,10 +79,6 @@ pub struct SimConfig {
     pub seed: u64,
     /// Safety horizon.
     pub horizon: Time,
-    /// Placement-to-enqueue latency (the §3.4 race window).
-    pub placement_latency_ns: u64,
-    /// Core initial tasks launch from (and Nest's reserve-search anchor).
-    pub initial_core: CoreId,
     /// Collect a full execution trace (memory-heavy; figures 2/8 only).
     pub collect_trace: bool,
     /// Fault-injection plan. The default (empty) plan adds no events and
@@ -105,8 +101,6 @@ impl SimConfig {
             governor: Governor::Schedutil,
             seed: 1,
             horizon: Time::from_secs(600),
-            placement_latency_ns: 1_500,
-            initial_core: CoreId(0),
             collect_trace: false,
             faults: FaultPlan::default(),
             event_budget: None,
@@ -135,18 +129,6 @@ impl SimConfig {
     /// Sets the horizon.
     pub fn horizon(mut self, horizon: Time) -> SimConfig {
         self.horizon = horizon;
-        self
-    }
-
-    /// Sets the placement-to-enqueue latency.
-    pub fn placement_latency_ns(mut self, ns: u64) -> SimConfig {
-        self.placement_latency_ns = ns;
-        self
-    }
-
-    /// Sets the core initial tasks launch from.
-    pub fn initial_core(mut self, core: CoreId) -> SimConfig {
-        self.initial_core = core;
         self
     }
 
@@ -292,8 +274,6 @@ pub(crate) fn build_engine(
         .governor(cfg.governor)
         .seed(cfg.seed)
         .horizon(cfg.horizon)
-        .placement_latency_ns(cfg.placement_latency_ns)
-        .initial_core(cfg.initial_core)
         .faults(cfg.faults.clone())
         .event_budget(cfg.event_budget)
         .wall_limit(cfg.wall_limit);
@@ -373,16 +353,12 @@ pub(crate) fn build_engine(
 /// request arrivals. Fresh runs only — a restored engine repopulates
 /// tasks and pending injections from the snapshot instead.
 pub(crate) fn setup_workload(engine: &mut Engine, cfg: &SimConfig, workload: &dyn Workload) {
-    let mut wl_rng = SimRng::new(cfg.seed ^ 0xD00D_F00D);
-    let tasks = workload.build(engine, &mut wl_rng);
+    let spawned = spawn_tasks(engine, cfg.seed, workload);
     let serve_specs = workload.serve_specs();
     assert!(
-        !tasks.is_empty() || !serve_specs.is_empty(),
+        spawned > 0 || !serve_specs.is_empty(),
         "workload built no tasks"
     );
-    for t in tasks {
-        engine.spawn(t);
-    }
     // Requests arrive through the engine's event queue at materialized
     // times: a pure function of (spec, plan index, base seed), never of
     // engine state, so arrival streams are byte-identical at any worker
@@ -392,6 +368,18 @@ pub(crate) fn setup_workload(engine: &mut Engine, cfg: &SimConfig, workload: &dy
             engine.inject_at(Time::from_nanos(at_ns), task);
         }
     }
+}
+
+/// Builds the workload's tasks from its RNG stream for `seed` and
+/// spawns them into `engine`; returns how many it spawned.
+pub(crate) fn spawn_tasks(engine: &mut Engine, seed: u64, workload: &dyn Workload) -> usize {
+    let mut wl_rng = SimRng::new(seed ^ 0xD00D_F00D);
+    let tasks = workload.build(engine, &mut wl_rng);
+    let spawned = tasks.len();
+    for t in tasks {
+        engine.spawn(t);
+    }
+    spawned
 }
 
 /// Drains the probe rig into a [`RunResult`] once the run is over.
@@ -529,11 +517,11 @@ mod tests {
     fn builder_setters_cover_engine_fields() {
         let cfg = quick_cfg()
             .horizon(Time::from_secs(30))
-            .placement_latency_ns(2_500)
-            .initial_core(CoreId(4));
+            .event_budget(Some(1_000))
+            .wall_limit(Some(std::time::Duration::from_secs(5)));
         assert_eq!(cfg.horizon, Time::from_secs(30));
-        assert_eq!(cfg.placement_latency_ns, 2_500);
-        assert_eq!(cfg.initial_core, CoreId(4));
+        assert_eq!(cfg.event_budget, Some(1_000));
+        assert_eq!(cfg.wall_limit, Some(std::time::Duration::from_secs(5)));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use nest_faults::FaultPlan;
 use nest_freq::Governor;
-use nest_simcore::{CoreId, Time};
+use nest_simcore::Time;
 use nest_topology::MachineSpec;
 
 /// Configuration of one simulation run.
@@ -14,12 +14,6 @@ pub struct EngineConfig {
     pub governor: Governor,
     /// RNG seed; identical seeds give identical runs.
     pub seed: u64,
-    /// Delay between core selection and enqueue — the §3.4 race window in
-    /// which concurrent placements can collide on one core.
-    pub placement_latency_ns: u64,
-    /// Core on which initial tasks are launched (where the workload's
-    /// launching shell "runs"); also Nest's reserve-search anchor.
-    pub initial_core: CoreId,
     /// Hard stop; simulations of non-terminating workloads need one.
     pub horizon: Time,
     /// Perturbations injected through the event queue (hotplug, thermal
@@ -43,8 +37,6 @@ impl EngineConfig {
             machine,
             governor: Governor::Schedutil,
             seed: 1,
-            placement_latency_ns: 1_500,
-            initial_core: CoreId(0),
             horizon: Time::from_secs(600),
             faults: FaultPlan::default(),
             event_budget: None,
@@ -67,18 +59,6 @@ impl EngineConfig {
     /// Sets the horizon.
     pub fn horizon(mut self, horizon: Time) -> EngineConfig {
         self.horizon = horizon;
-        self
-    }
-
-    /// Sets the placement-to-enqueue latency (the §3.4 race window).
-    pub fn placement_latency_ns(mut self, ns: u64) -> EngineConfig {
-        self.placement_latency_ns = ns;
-        self
-    }
-
-    /// Sets the core initial tasks launch from.
-    pub fn initial_core(mut self, core: CoreId) -> EngineConfig {
-        self.initial_core = core;
         self
     }
 
@@ -112,16 +92,12 @@ mod tests {
             .governor(Governor::Performance)
             .seed(9)
             .horizon(Time::from_secs(5))
-            .placement_latency_ns(2_000)
-            .initial_core(CoreId(3))
             .faults(FaultPlan::parse("faults:hotplug=2@50ms").unwrap())
             .event_budget(Some(1_000_000))
             .wall_limit(Some(std::time::Duration::from_secs(30)));
         assert_eq!(cfg.governor, Governor::Performance);
         assert_eq!(cfg.seed, 9);
         assert_eq!(cfg.horizon, Time::from_secs(5));
-        assert_eq!(cfg.placement_latency_ns, 2_000);
-        assert_eq!(cfg.initial_core, CoreId(3));
         assert_eq!(cfg.faults.canonical(), "hotplug=2@50ms");
         assert_eq!(cfg.event_budget, Some(1_000_000));
         assert_eq!(cfg.wall_limit, Some(std::time::Duration::from_secs(30)));
@@ -130,8 +106,6 @@ mod tests {
     #[test]
     fn defaults_match_documented_values() {
         let cfg = EngineConfig::new(presets::xeon_5218());
-        assert_eq!(cfg.placement_latency_ns, 1_500);
-        assert_eq!(cfg.initial_core, CoreId(0));
         assert!(cfg.faults.is_empty());
         assert_eq!(cfg.event_budget, None);
         assert_eq!(cfg.wall_limit, None);

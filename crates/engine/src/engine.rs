@@ -9,7 +9,7 @@
 //! Fidelity notes, mapped to the paper:
 //!
 //! * Placement is two-phase (select → commit after
-//!   [`EngineConfig::placement_latency_ns`]); selections made inside the
+//!   [`PLACEMENT_LATENCY_NS`]); selections made inside the
 //!   window can collide on a core unless the policy honours the pending
 //!   flag — reproducing §3.4.
 //! * Compute progress scales with the physical core's current frequency;
@@ -41,6 +41,14 @@ use crate::config::EngineConfig;
 /// (barrier releases, batched sends) are staggered by this much so that
 /// placement selections interleave with commits, as on real hardware.
 const WAKEUP_STRIDE_NS: u64 = 1_000;
+
+/// Delay between core selection and enqueue — the §3.4 race window in
+/// which concurrent placements can collide on one core.
+pub const PLACEMENT_LATENCY_NS: u64 = 1_500;
+
+/// Core on which initial tasks are launched (where the workload's
+/// launching shell "runs"); also Nest's reserve-search anchor.
+const LAUNCH_CORE: CoreId = CoreId(0);
 
 /// Outcome of a completed run.
 #[derive(Clone, Debug)]
@@ -258,16 +266,10 @@ impl Engine {
         }
     }
 
-    /// Registers a metrics probe; returns its index for retrieval after
-    /// the run.
-    pub fn add_probe(&mut self, probe: Box<dyn Probe>) -> usize {
+    /// Registers a metrics probe. Probes see every trace event in
+    /// registration order.
+    pub fn add_probe(&mut self, probe: Box<dyn Probe>) {
         self.probes.push(probe);
-        self.probes.len() - 1
-    }
-
-    /// Takes back the probes after a run.
-    pub fn take_probes(&mut self) -> Vec<Box<dyn Probe>> {
-        std::mem::take(&mut self.probes)
     }
 
     /// Returns the topology.
@@ -313,11 +315,10 @@ impl Engine {
     }
 
     /// Launches an initial task (before or during the run). The placement
-    /// goes through the policy's fork path from
-    /// [`EngineConfig::initial_core`].
+    /// goes through the policy's fork path from the launch core
+    /// (core 0).
     pub fn spawn(&mut self, spec: TaskSpec) -> TaskId {
-        let initial_core = self.cfg.initial_core;
-        self.create_task(spec, None, initial_core)
+        self.create_task(spec, None, LAUNCH_CORE)
     }
 
     /// Registers a task to be created at simulated time `at` (an open-loop
@@ -441,10 +442,8 @@ impl Engine {
         self.emit(TraceEvent::Placed { task, core, path });
         self.tasks[task.index()].commit_gen += 1;
         let gen = self.tasks[task.index()].commit_gen;
-        self.queue.schedule(
-            self.now + self.cfg.placement_latency_ns,
-            Event::Commit { task, gen },
-        );
+        self.queue
+            .schedule(self.now + PLACEMENT_LATENCY_NS, Event::Commit { task, gen });
         // Stash where the commit will land; Commit reads it back.
         self.tasks[task.index()].seg_resumed_at = self.now;
         self.pending_core.insert(task.index(), core);
@@ -608,21 +607,26 @@ impl Engine {
         }
     }
 
-    /// Fires a registered injection: the task enters through the policy's
-    /// fork path from the initial core (or the first online core if it is
-    /// offline), like a straggler spawn.
-    fn on_inject(&mut self, idx: usize) {
-        let spec = self.injections[idx].1.take().expect("injection fires once");
-        self.pending_injections -= 1;
-        let initial_core = self.cfg.initial_core;
-        let parent_core = if self.kernel.is_online(initial_core) {
-            initial_core
+    /// The launch core, or the first online core while it is offline:
+    /// where injected tasks and stragglers fork from.
+    fn online_launch_core(&self) -> CoreId {
+        if self.kernel.is_online(LAUNCH_CORE) {
+            LAUNCH_CORE
         } else {
             self.kernel
                 .online_cores()
                 .first()
                 .expect("at least one core online")
-        };
+        }
+    }
+
+    /// Fires a registered injection: the task enters through the policy's
+    /// fork path from the launch core (or the first online core if it is
+    /// offline), like a straggler spawn.
+    fn on_inject(&mut self, idx: usize) {
+        let spec = self.injections[idx].1.take().expect("injection fires once");
+        self.pending_injections -= 1;
+        let parent_core = self.online_launch_core();
         self.create_task(spec, None, parent_core);
     }
 
@@ -726,15 +730,7 @@ impl Engine {
     }
 
     fn spawn_stragglers(&mut self, count: u32, duration_ns: u64) {
-        let initial_core = self.cfg.initial_core;
-        let parent_core = if self.kernel.is_online(initial_core) {
-            initial_core
-        } else {
-            self.kernel
-                .online_cores()
-                .first()
-                .expect("at least one core online")
-        };
+        let parent_core = self.online_launch_core();
         for i in 0..count {
             self.create_task(
                 TaskSpec {

@@ -23,7 +23,7 @@
 
 use std::fmt;
 
-use nest_simcore::time::{MICROSEC, MILLISEC, SEC};
+use nest_simcore::time::{format_duration, parse_duration, MILLISEC};
 
 /// An error parsing or validating a fault-plan spec.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -193,10 +193,10 @@ impl FaultPlan {
     pub fn canonical(&self) -> String {
         let mut parts = Vec::new();
         if let Some(h) = &self.hotplug {
-            let mut s = format!("hotplug={}@{}", h.count, fmt_dur(h.at_ns));
+            let mut s = format!("hotplug={}@{}", h.count, format_duration(h.at_ns));
             if let Some(d) = h.dur_ns {
                 s.push(':');
-                s.push_str(&fmt_dur(d));
+                s.push_str(&format_duration(d));
             }
             parts.push(s);
         }
@@ -209,11 +209,11 @@ impl FaultPlan {
                     let mut s = format!("s{}:{}", t.socket, t.factor);
                     if t.at_ns != 0 || t.dur_ns.is_some() {
                         s.push('@');
-                        s.push_str(&fmt_dur(t.at_ns));
+                        s.push_str(&format_duration(t.at_ns));
                     }
                     if let Some(d) = t.dur_ns {
                         s.push(':');
-                        s.push_str(&fmt_dur(d));
+                        s.push_str(&format_duration(d));
                     }
                     s
                 })
@@ -221,17 +221,17 @@ impl FaultPlan {
             parts.push(format!("throttle={}", joined.join("+")));
         }
         if self.jitter_ns != 0 {
-            parts.push(format!("jitter={}", fmt_dur(self.jitter_ns)));
+            parts.push(format!("jitter={}", format_duration(self.jitter_ns)));
         }
         if let Some(s) = &self.stragglers {
             let mut out = format!("stragglers={}", s.count);
             if s.at_ns != 0 || s.dur_ns != DEFAULT_STRAGGLER_DUR_NS {
                 out.push('@');
-                out.push_str(&fmt_dur(s.at_ns));
+                out.push_str(&format_duration(s.at_ns));
             }
             if s.dur_ns != DEFAULT_STRAGGLER_DUR_NS {
                 out.push(':');
-                out.push_str(&fmt_dur(s.dur_ns));
+                out.push_str(&format_duration(s.dur_ns));
             }
             parts.push(out);
         }
@@ -353,41 +353,18 @@ fn parse_stragglers(v: &str) -> Result<StragglerFault, FaultError> {
     })
 }
 
-/// Parses a duration with a mandatory `ns`/`us`/`ms`/`s` unit suffix.
+/// Parses a clause's duration, naming the clause on error.
 fn parse_dur(clause: &str, s: &str) -> Result<u64, FaultError> {
-    let s = s.trim();
-    let bad = || FaultError::new(clause, format!("\"{s}\" is not a duration (e.g. 50ms, 2s)"));
-    let (digits, unit) = s
-        .find(|c: char| !c.is_ascii_digit())
-        .map(|i| s.split_at(i))
-        .ok_or_else(bad)?;
-    let n: u64 = digits.parse().map_err(|_| bad())?;
-    let scale = match unit {
-        "ns" => 1,
-        "us" => MICROSEC,
-        "ms" => MILLISEC,
-        "s" => SEC,
-        _ => return Err(bad()),
-    };
-    n.checked_mul(scale).ok_or_else(bad)
-}
-
-/// Renders a nanosecond duration in the largest exact unit.
-fn fmt_dur(ns: u64) -> String {
-    if ns == 0 {
-        return "0ns".to_string();
-    }
-    for (scale, unit) in [(SEC, "s"), (MILLISEC, "ms"), (MICROSEC, "us")] {
-        if ns.is_multiple_of(scale) {
-            return format!("{}{unit}", ns / scale);
-        }
-    }
-    format!("{ns}ns")
+    parse_duration(s).ok_or_else(|| {
+        let s = s.trim();
+        FaultError::new(clause, format!("\"{s}\" is not a duration (e.g. 50ms, 2s)"))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nest_simcore::time::{MICROSEC, SEC};
 
     #[test]
     fn empty_plan_is_inert() {
@@ -442,12 +419,19 @@ mod tests {
 
     #[test]
     fn durations_render_largest_exact_unit() {
-        assert_eq!(fmt_dur(0), "0ns");
-        assert_eq!(fmt_dur(1_500), "1500ns");
-        assert_eq!(fmt_dur(2_000), "2us");
-        assert_eq!(fmt_dur(50 * MILLISEC), "50ms");
-        assert_eq!(fmt_dur(3 * SEC), "3s");
-        assert_eq!(parse_dur("t", "3s").unwrap(), 3 * SEC);
+        for (spec, canonical) in [
+            ("jitter=1500ns", "jitter=1500ns"),
+            ("jitter=2000ns", "jitter=2us"),
+            ("hotplug=1@50000us", "hotplug=1@50ms"),
+            ("hotplug=1@0s:3000ms", "hotplug=1@0ns:3s"),
+        ] {
+            let plan = FaultPlan::parse(spec).unwrap();
+            assert_eq!(plan.canonical(), canonical, "{spec}");
+        }
+        assert_eq!(
+            FaultPlan::parse("hotplug=2@50").unwrap_err().to_string(),
+            "bad fault clause \"2@50\": \"50\" is not a duration (e.g. 50ms, 2s)"
+        );
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //!
 //! Knobs at their default drop out of the canonical rendering (the
 //! workload-registry convention), so equivalent specs share one cache
-//! key. Durations use the `nest-serve` suffix grammar (`50ms`, `2s`).
+//! key. Durations use the shared `nest_simcore::time` suffix grammar
+//! (`50ms`, `2s`).
 
-use nest_serve::{format_duration, parse_duration};
+use nest_simcore::time::{format_duration, parse_duration};
 
 /// Default host count.
 pub const DEFAULT_HOSTS: u32 = 2;

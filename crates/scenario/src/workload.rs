@@ -18,7 +18,8 @@
 //! Canonical strings list only knobs that differ from the member/suite
 //! base, in declaration order, so equivalent specs share one cache key.
 
-use nest_serve::{format_duration, parse_duration, ArrivalKind, ServeSpec, ServiceDist};
+use nest_serve::{ArrivalKind, ServeSpec, ServiceDist};
+use nest_simcore::time::{format_duration, parse_duration};
 use nest_workloads::{
     configure, dacapo, hackbench::HackbenchSpec, nas, phoronix, schbench::SchbenchSpec, server,
     FleetLoad, FleetSpec, Multi, ServeLoad, Workload,

@@ -34,4 +34,4 @@ pub use arrival::ArrivalKind;
 pub use dist::ServiceDist;
 pub use materialize::{materialize, REQUEST_LABEL_PREFIX};
 pub use pool::{register_behaviors, OpenLoopDriver, ServiceWorker};
-pub use spec::{format_duration, parse_duration, ServeSpec};
+pub use spec::ServeSpec;

@@ -3,12 +3,11 @@
 //! [`ServeSpec`] is plain data: every field maps one-to-one onto a
 //! `key=value` knob of the scenario registry's `serve:` grammar
 //! (e.g. `serve:rate=500,dist=lognorm,slo=2ms`). Parsing and canonical
-//! rendering live in `nest-scenario` next to the other workload grammars;
-//! this module only hosts the shared duration helpers so `slo=2ms` uses
-//! the same `ns`/`us`/`ms`/`s` suffix convention as the fault-plan
-//! grammar.
+//! rendering live in `nest-scenario` next to the other workload grammars,
+//! with `slo=2ms` in the shared [`nest_simcore::time::parse_duration`]
+//! form.
 
-use nest_simcore::time::{MICROSEC, MILLISEC, SEC};
+use nest_simcore::time::MILLISEC;
 
 use crate::arrival::ArrivalKind;
 use crate::dist::ServiceDist;
@@ -125,37 +124,6 @@ impl ServeSpec {
     }
 }
 
-/// Parses a duration with a mandatory `ns`/`us`/`ms`/`s` unit suffix
-/// (`"2ms"`, `"500us"`); `None` on malformed input. Mirrors the
-/// fault-plan grammar's duration convention.
-pub fn parse_duration(s: &str) -> Option<u64> {
-    let s = s.trim();
-    let (digits, unit) = s.split_at(s.find(|c: char| !c.is_ascii_digit())?);
-    let n: u64 = digits.parse().ok()?;
-    let scale = match unit {
-        "ns" => 1,
-        "us" => MICROSEC,
-        "ms" => MILLISEC,
-        "s" => SEC,
-        _ => return None,
-    };
-    n.checked_mul(scale)
-}
-
-/// Renders a nanosecond duration in the largest exact unit (`fmt` inverse
-/// of [`parse_duration`]).
-pub fn format_duration(ns: u64) -> String {
-    if ns == 0 {
-        return "0ns".to_string();
-    }
-    for (scale, unit) in [(SEC, "s"), (MILLISEC, "ms"), (MICROSEC, "us")] {
-        if ns.is_multiple_of(scale) {
-            return format!("{}{unit}", ns / scale);
-        }
-    }
-    format!("{ns}ns")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,22 +148,6 @@ mod tests {
             let mut s = ServeSpec::default();
             f(&mut s);
             assert!(s.validate().is_err());
-        }
-    }
-
-    #[test]
-    fn duration_round_trips() {
-        for (s, ns) in [
-            ("2ms", 2 * MILLISEC),
-            ("500us", 500 * MICROSEC),
-            ("3s", 3 * SEC),
-            ("7ns", 7),
-        ] {
-            assert_eq!(parse_duration(s), Some(ns), "{s}");
-            assert_eq!(format_duration(ns), s, "{ns}");
-        }
-        for bad in ["", "2", "ms", "2 ms", "2m", "-1ms"] {
-            assert_eq!(parse_duration(bad), None, "{bad:?}");
         }
     }
 }

@@ -1,43 +1,46 @@
 //! The simulation event queue.
 //!
-//! [`EventQueue`] is a priority queue of `(Time, payload)` pairs with two
-//! properties the simulator depends on:
-//!
-//! * **Stable ordering** — events at equal times pop in insertion order, so
-//!   the simulation is deterministic regardless of heap internals.
-//! * **Cancellation** — scheduling returns an [`EventKey`]; cancelling a
-//!   key is O(1) (lazy deletion) and is how the engine invalidates, e.g., a
-//!   task-completion event when the core's frequency changes mid-segment.
+//! [`EventQueue`] is a min-heap of `(Time, payload)` entries with **stable
+//! ordering**: events at equal times pop in insertion order, so the
+//! simulation is deterministic regardless of heap internals. It has no
+//! cancellation: the engine retires stale events by a generation counter
+//! checked at dispatch, so each pending event is one heap entry and
+//! nothing of it remains once it pops.
 
-use std::cmp::Ordering;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 use crate::time::Time;
 
-/// A handle to a scheduled event, usable to cancel it.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct EventKey(u64);
-
-#[derive(PartialEq, Eq)]
-struct Entry {
+/// A pending event, ordered by `(at, seq)` only so the payload needs no
+/// bounds.
+struct Entry<E> {
     at: Time,
     seq: u64,
+    event: E,
 }
 
-impl Ord for Entry {
-    fn cmp(&self, other: &Entry) -> Ordering {
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Entry<E>) -> Ordering {
         self.at.cmp(&other.at).then(self.seq.cmp(&other.seq))
     }
 }
 
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Entry) -> Option<Ordering> {
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Entry<E>) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-/// A deterministic, cancellable discrete-event queue.
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Entry<E>) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl<E> Eq for Entry<E> {}
+
+/// A deterministic discrete-event queue.
 ///
 /// # Examples
 ///
@@ -46,25 +49,17 @@ impl PartialOrd for Entry {
 /// use nest_simcore::time::Time;
 ///
 /// let mut q = EventQueue::new();
-/// q.schedule(Time::from_nanos(10), "b");
+/// q.schedule(Time::from_nanos(10), "c");
 /// q.schedule(Time::from_nanos(5), "a");
-/// let key = q.schedule(Time::from_nanos(7), "cancelled");
-/// q.cancel(key);
+/// q.schedule(Time::from_nanos(5), "b");
+/// assert_eq!(q.peek_time(), Some(Time::from_nanos(5)));
 /// assert_eq!(q.pop(), Some((Time::from_nanos(5), "a")));
-/// assert_eq!(q.pop(), Some((Time::from_nanos(10), "b")));
+/// assert_eq!(q.pop(), Some((Time::from_nanos(5), "b")));
+/// assert_eq!(q.pop(), Some((Time::from_nanos(10), "c")));
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<Entry>>,
-    // Payloads and liveness in a ring indexed by `seq - base_seq`:
-    // scheduling appends, pop/cancel clears the slot, and the cleared
-    // prefix is reclaimed by advancing `base_seq`. Sequence numbers grow
-    // monotonically, so the ring only ever spans the window of in-flight
-    // events, and the dispatch hot path pays one bounds-checked index
-    // instead of a hash probe per event.
-    slots: VecDeque<Option<E>>,
-    base_seq: u64,
-    live: usize,
+    heap: BinaryHeap<Reverse<Entry<E>>>,
     next_seq: u64,
 }
 
@@ -73,82 +68,27 @@ impl<E> EventQueue<E> {
     pub fn new() -> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
-            slots: VecDeque::new(),
-            base_seq: 0,
-            live: 0,
             next_seq: 0,
         }
     }
 
-    /// Schedules `event` to fire at time `at` and returns a cancellation
-    /// key.
-    pub fn schedule(&mut self, at: Time, event: E) -> EventKey {
+    /// Schedules `event` to fire at time `at`.
+    pub fn schedule(&mut self, at: Time, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Reverse(Entry { at, seq }));
-        self.slots.push_back(Some(event));
-        self.live += 1;
-        EventKey(seq)
-    }
-
-    /// The ring position of `seq`, if it is inside the retained window.
-    fn slot_index(&self, seq: u64) -> Option<usize> {
-        seq.checked_sub(self.base_seq)
-            .map(|i| i as usize)
-            .filter(|&i| i < self.slots.len())
-    }
-
-    /// Clears the slot for `seq`, returning its payload if it was live,
-    /// and reclaims any cleared prefix of the ring.
-    fn take(&mut self, seq: u64) -> Option<E> {
-        let i = self.slot_index(seq)?;
-        let event = self.slots[i].take();
-        if event.is_some() {
-            self.live -= 1;
-            while matches!(self.slots.front(), Some(None)) {
-                self.slots.pop_front();
-                self.base_seq += 1;
-            }
-        }
-        event
-    }
-
-    /// Cancels a previously scheduled event.
-    ///
-    /// Returns the payload if the event was still pending, `None` if it had
-    /// already fired or been cancelled. Cancelling twice is harmless.
-    pub fn cancel(&mut self, key: EventKey) -> Option<E> {
-        self.take(key.0)
-    }
-
-    /// Returns `true` if the event behind `key` is still pending.
-    pub fn is_pending(&self, key: EventKey) -> bool {
-        self.slot_index(key.0)
-            .is_some_and(|i| self.slots[i].is_some())
+        self.heap.push(Reverse(Entry { at, seq, event }));
     }
 
     /// Removes and returns the earliest pending event.
     ///
     /// Events at the same time pop in the order they were scheduled.
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        while let Some(Reverse(entry)) = self.heap.pop() {
-            if let Some(event) = self.take(entry.seq) {
-                return Some((entry.at, event));
-            }
-            // Lazily dropped: the slot was cancelled.
-        }
-        None
+        self.heap.pop().map(|Reverse(e)| (e.at, e.event))
     }
 
     /// Returns the time of the earliest pending event without removing it.
-    pub fn peek_time(&mut self) -> Option<Time> {
-        while let Some(Reverse(entry)) = self.heap.peek() {
-            if self.is_pending(EventKey(entry.seq)) {
-                return Some(entry.at);
-            }
-            self.heap.pop();
-        }
-        None
+    pub fn peek_time(&self) -> Option<Time> {
+        self.heap.peek().map(|Reverse(e)| e.at)
     }
 
     /// Returns every pending event in schedule order: ascending fire
@@ -162,27 +102,19 @@ impl<E> EventQueue<E> {
     ///
     /// [`pop`]: EventQueue::pop
     pub fn pending_in_schedule_order(&self) -> Vec<(Time, &E)> {
-        let mut live: Vec<(Time, u64, &E)> = self
-            .heap
-            .iter()
-            .filter_map(|Reverse(entry)| {
-                let i = self.slot_index(entry.seq)?;
-                let event = self.slots[i].as_ref()?;
-                Some((entry.at, entry.seq, event))
-            })
-            .collect();
-        live.sort_by_key(|&(at, seq, _)| (at, seq));
-        live.into_iter().map(|(at, _, e)| (at, e)).collect()
+        let mut pending: Vec<&Entry<E>> = self.heap.iter().map(|Reverse(e)| e).collect();
+        pending.sort();
+        pending.into_iter().map(|e| (e.at, &e.event)).collect()
     }
 
-    /// Returns the number of pending (non-cancelled) events.
+    /// Returns the number of pending events.
     pub fn len(&self) -> usize {
-        self.live
+        self.heap.len()
     }
 
     /// Returns `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.heap.is_empty()
     }
 }
 
@@ -215,78 +147,5 @@ mod tests {
         }
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn cancel_removes_event() {
-        let mut q = EventQueue::new();
-        let k = q.schedule(Time::from_nanos(1), "x");
-        assert!(q.is_pending(k));
-        assert_eq!(q.cancel(k), Some("x"));
-        assert!(!q.is_pending(k));
-        assert_eq!(q.cancel(k), None);
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn pop_after_fire_means_not_pending() {
-        let mut q = EventQueue::new();
-        let k = q.schedule(Time::from_nanos(1), ());
-        q.pop();
-        assert!(!q.is_pending(k));
-        assert_eq!(q.cancel(k), None);
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let k = q.schedule(Time::from_nanos(1), 1);
-        q.schedule(Time::from_nanos(2), 2);
-        q.cancel(k);
-        assert_eq!(q.peek_time(), Some(Time::from_nanos(2)));
-    }
-
-    #[test]
-    fn ring_reclaims_cleared_prefix() {
-        let mut q = EventQueue::new();
-        // Steady state: schedule/pop interleaved with cancels. The ring
-        // must keep answering correctly as base_seq advances past both
-        // popped and cancelled slots.
-        let mut keys = Vec::new();
-        for round in 0..50u64 {
-            for j in 0..4 {
-                keys.push(q.schedule(Time::from_nanos(round * 10 + j), round * 4 + j));
-            }
-            if round % 3 == 0 {
-                q.cancel(keys[keys.len() - 2]);
-            }
-            let _ = q.pop();
-        }
-        // Prefix reclamation kept the ring to the in-flight window (200
-        // events were scheduled in total; cancelled holes ahead of the
-        // pop frontier may linger until it passes them).
-        assert!(q.base_seq > 0, "prefix was never reclaimed");
-        assert!(q.slots.len() < 200, "ring never shrank");
-        let mut last = Time::ZERO;
-        while let Some((t, _)) = q.pop() {
-            assert!(t >= last);
-            last = t;
-        }
-        assert!(q.is_empty());
-        // Stale keys from long-gone events never read as pending.
-        assert!(keys.iter().all(|&k| !q.is_pending(k)));
-    }
-
-    #[test]
-    fn len_tracks_live_events() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(Time::from_nanos(1), 1);
-        q.schedule(Time::from_nanos(2), 2);
-        assert_eq!(q.len(), 2);
-        q.cancel(a);
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-        q.pop();
-        assert!(q.is_empty());
     }
 }

@@ -1,11 +1,14 @@
 //! Deterministic discrete-event simulation primitives.
 //!
 //! This crate provides the foundation shared by the whole Nest simulator:
-//! simulated time ([`Time`]), frequency units ([`Freq`]), entity identifiers
-//! ([`CoreId`], [`TaskId`], [`SocketId`]), a stable-ordered event queue
-//! ([`EventQueue`]), a seedable random-number generator ([`SimRng`]), the
-//! task behaviour model ([`Action`], [`Behavior`], [`TaskSpec`]), and the
-//! probe (tracing) interface ([`Probe`], [`TraceEvent`]).
+//! simulated time ([`Time`]) and the duration text form every spec grammar
+//! shares ([`time::parse_duration`], [`time::format_duration`]), frequency
+//! units ([`Freq`]), entity identifiers ([`CoreId`], [`TaskId`],
+//! [`SocketId`]), a stable-ordered event queue ([`EventQueue`]; a plain
+//! min-heap, since the engine retires stale events by generation rather
+//! than cancelling them), a seedable random-number generator ([`SimRng`]),
+//! the task behaviour model ([`Action`], [`Behavior`], [`TaskSpec`]), and
+//! the probe (tracing) interface ([`Probe`], [`TraceEvent`]).
 //!
 //! Everything here is deterministic: two simulations constructed with the
 //! same machine, workload, and seed produce bit-identical event sequences.
@@ -28,7 +31,7 @@ pub mod task;
 pub mod time;
 pub mod units;
 
-pub use events::{EventKey, EventQueue};
+pub use events::EventQueue;
 pub use ids::{BarrierId, CcxId, ChannelId, CoreId, SocketId, TaskId};
 pub use json::Json;
 pub use probe::{PlacementPath, Probe, StopReason, TraceEvent};

@@ -3,7 +3,9 @@
 //! Time is measured in nanoseconds since the start of the simulation and is
 //! represented by the [`Time`] newtype. Durations are plain `u64`
 //! nanosecond counts; the constants [`NANOSEC`], [`MICROSEC`], [`MILLISEC`],
-//! [`SEC`], and [`TICK_NS`] make call sites readable.
+//! [`SEC`], and [`TICK_NS`] make call sites readable, and
+//! [`parse_duration`]/[`format_duration`] are the one text form of a
+//! duration that every spec grammar (faults, fleets, serving) shares.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
@@ -23,6 +25,36 @@ pub const SEC: u64 = 1_000_000_000;
 /// tick-denominated parameters (`P_remove` = 2 ticks = 8 ms) rely on this
 /// value.
 pub const TICK_NS: u64 = 4 * MILLISEC;
+
+/// Parses a duration with a mandatory `ns`/`us`/`ms`/`s` unit suffix
+/// (`"2ms"`, `"500us"`); `None` on malformed input.
+pub fn parse_duration(s: &str) -> Option<u64> {
+    let s = s.trim();
+    let (digits, unit) = s.split_at(s.find(|c: char| !c.is_ascii_digit())?);
+    let n: u64 = digits.parse().ok()?;
+    let scale = match unit {
+        "ns" => 1,
+        "us" => MICROSEC,
+        "ms" => MILLISEC,
+        "s" => SEC,
+        _ => return None,
+    };
+    n.checked_mul(scale)
+}
+
+/// Renders a nanosecond duration in the largest exact unit (the inverse
+/// of [`parse_duration`]).
+pub fn format_duration(ns: u64) -> String {
+    if ns == 0 {
+        return "0ns".to_string();
+    }
+    for (scale, unit) in [(SEC, "s"), (MILLISEC, "ms"), (MICROSEC, "us")] {
+        if ns.is_multiple_of(scale) {
+            return format!("{}{unit}", ns / scale);
+        }
+    }
+    format!("{ns}ns")
+}
 
 /// An instant in simulated time, in nanoseconds since simulation start.
 ///
@@ -157,6 +189,22 @@ impl fmt::Display for Time {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn duration_round_trips() {
+        for (s, ns) in [
+            ("2ms", 2 * MILLISEC),
+            ("500us", 500 * MICROSEC),
+            ("3s", 3 * SEC),
+            ("7ns", 7),
+        ] {
+            assert_eq!(parse_duration(s), Some(ns), "{s}");
+            assert_eq!(format_duration(ns), s, "{ns}");
+        }
+        for bad in ["", "2", "ms", "2 ms", "2m", "-1ms"] {
+            assert_eq!(parse_duration(bad), None, "{bad:?}");
+        }
+    }
 
     #[test]
     fn constructors_agree_on_units() {

@@ -60,35 +60,72 @@ fn event_queue_matches_stable_sort() {
     );
 }
 
-/// Cancellation removes exactly the cancelled events.
+/// One step of a random queue workload.
+#[derive(Debug)]
+enum QueueOp {
+    /// Schedule `burst` events at `delay` ns past the last popped time
+    /// (never in the past; bursts share one fire time).
+    Schedule { delay: u64, burst: u64 },
+    /// Pop the earliest event.
+    Pop,
+}
+
+/// Random interleavings of `schedule` and `pop` agree, after every step,
+/// with a sorted-`Vec` model that inserts after all equal times: the
+/// same pops, earliest time, length and schedule-order listing.
 #[test]
-fn event_queue_cancellation() {
+fn event_queue_matches_sorted_vec_model() {
     check(
         CASES,
         |rng| {
-            let times = vec_of(rng, 1..100, |r| draw(r, 0..1000));
-            let cancel_mask = vec_of(rng, 1..100, |r| r.chance(0.5));
-            (times, cancel_mask)
-        },
-        |(times, cancel_mask)| {
-            let mut q = EventQueue::new();
-            let keys: Vec<_> = times
-                .iter()
-                .enumerate()
-                .map(|(i, &t)| q.schedule(Time::from_nanos(t), i))
-                .collect();
-            let mut kept = Vec::new();
-            for (i, key) in keys.iter().enumerate() {
-                if *cancel_mask.get(i).unwrap_or(&false) {
-                    q.cancel(*key);
+            vec_of(rng, 0..300, |r| {
+                if r.chance(0.55) {
+                    QueueOp::Schedule {
+                        delay: if r.chance(0.3) { 0 } else { draw(r, 0..100) },
+                        burst: draw(r, 1..5),
+                    }
                 } else {
-                    kept.push(i);
+                    QueueOp::Pop
                 }
-            }
-            let got: Vec<usize> = std::iter::from_fn(|| q.pop().map(|(_, i)| i)).collect();
-            assert_eq!(got.len(), kept.len());
-            for i in kept {
-                assert!(got.contains(&i));
+            })
+        },
+        |ops| {
+            let mut q = EventQueue::new();
+            let mut model: Vec<(u64, usize)> = Vec::new();
+            let mut now = 0;
+            let mut next_id = 0;
+            for op in ops {
+                match *op {
+                    QueueOp::Schedule { delay, burst } => {
+                        let at = now + delay;
+                        for _ in 0..burst {
+                            q.schedule(Time::from_nanos(at), next_id);
+                            let i = model.partition_point(|&(t, _)| t <= at);
+                            model.insert(i, (at, next_id));
+                            next_id += 1;
+                        }
+                    }
+                    QueueOp::Pop => {
+                        let got = q.pop().map(|(t, id)| (t.as_nanos(), id));
+                        let want = (!model.is_empty()).then(|| model.remove(0));
+                        assert_eq!(got, want);
+                        if let Some((t, _)) = got {
+                            now = t;
+                        }
+                    }
+                }
+                assert_eq!(q.len(), model.len());
+                assert_eq!(q.is_empty(), model.is_empty());
+                assert_eq!(
+                    q.peek_time().map(Time::as_nanos),
+                    model.first().map(|&(t, _)| t)
+                );
+                let pending: Vec<(u64, usize)> = q
+                    .pending_in_schedule_order()
+                    .into_iter()
+                    .map(|(t, &id)| (t.as_nanos(), id))
+                    .collect();
+                assert_eq!(pending, model);
             }
         },
     );
