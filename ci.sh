@@ -22,6 +22,10 @@ step cargo fmt --all -- --check
 step cargo clippy --workspace --all-targets --release -- -D warnings
 step cargo build --workspace --release
 step cargo test --workspace --release -q
+# The tier-1 test command, in a debug build: the engine's and the fleet's
+# debug_assert!s (time never goes backwards, no placement on a dead core,
+# every offered request settles once) and overflow checks only run here.
+step cargo test -q --offline
 # rustdoc is the only checker for doc syntax and intra-doc links, and
 # nest-simcore/nest-sched/nest-scenario carry #![deny(missing_docs)].
 RUSTDOCFLAGS="-D warnings" step cargo doc --workspace --no-deps --release

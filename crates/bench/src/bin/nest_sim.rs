@@ -29,6 +29,9 @@
 //! simulation the figure binaries run, so tracing a scenario cannot
 //! change its results.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use nest_core::experiment::format_table;
 use nest_core::{run_once_with, run_seed};
 use nest_harness::{jobs, metric_blocks, run_raw, Artifact, Json, Matrix, RawCell};
@@ -612,7 +615,7 @@ fn trace(args: &[String]) {
     let out_path = a.out.as_deref().unwrap_or("trace.json");
 
     let capacity = a.capacity.unwrap_or(TraceCollector::DEFAULT_CAPACITY);
-    let (mut collector, log) = TraceCollector::new(capacity);
+    let mut collector = TraceCollector::new(capacity);
     if let Some((lo, hi)) = a.window {
         collector = collector.with_window(lo, hi);
     }
@@ -622,17 +625,19 @@ fn trace(args: &[String]) {
 
     println!("scenario: {}", s.identity());
     let workload = s.build_workload();
+    let collector = Rc::new(RefCell::new(collector));
     let result = run_once_with(
         &s.sim_config(),
         workload.as_ref(),
-        vec![Box::new(collector)],
+        vec![Box::new(Rc::clone(&collector))],
     );
 
-    let log = log.borrow();
+    let collector = collector.borrow();
+    let log = &collector.log;
     // Per-core spans/counters from the trace ring, plus the run's
     // machine-level time series as extra counter tracks (power,
     // utilization, frequency, nest occupancy, runnable depth).
-    let json = chrome_trace_with_timeseries(&log, &result.timeseries);
+    let json = chrome_trace_with_timeseries(log, &result.timeseries);
     let mut text = json.to_pretty();
     text.push('\n');
     // Self-check before writing: the exporter's output must parse with

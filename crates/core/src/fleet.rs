@@ -79,27 +79,22 @@ struct TapState {
     nest_primary: u32,
 }
 
-struct FleetTap {
-    state: Rc<RefCell<TapState>>,
-}
-
-impl Probe for FleetTap {
+impl Probe for TapState {
     fn on_event(&mut self, now: Time, event: &TraceEvent) {
-        let mut s = self.state.borrow_mut();
         match event {
             TraceEvent::TaskCreated { task, label, .. }
                 if label.starts_with(REQUEST_LABEL_PREFIX) =>
             {
-                s.live_reqs.insert(*task, label.clone());
+                self.live_reqs.insert(*task, label.clone());
             }
             TraceEvent::TaskExited { task } => {
-                if let Some(label) = s.live_reqs.remove(task) {
-                    s.completions.push((now.as_nanos(), label));
+                if let Some(label) = self.live_reqs.remove(task) {
+                    self.completions.push((now.as_nanos(), label));
                 }
             }
             TraceEvent::NestExpand { primary, .. }
             | TraceEvent::NestShrink { primary, .. }
-            | TraceEvent::NestCompaction { primary, .. } => s.nest_primary = *primary,
+            | TraceEvent::NestCompaction { primary, .. } => self.nest_primary = *primary,
             _ => {}
         }
     }
@@ -215,7 +210,7 @@ impl<'a> Driver<'a> {
         }
         let slos = self.serve_specs.iter().map(|s| s.slo_ns).collect();
         let tap = Rc::new(RefCell::new(TapState::default()));
-        let mut probes: Vec<Box<dyn Probe>> = vec![Box::new(FleetTap { state: tap.clone() })];
+        let mut probes: Vec<Box<dyn Probe>> = vec![Box::new(Rc::clone(&tap))];
         probes.extend(extra_probes);
         let (mut engine, rig) = build_engine(&hcfg, slos, probes);
         engine.set_keepalive(true);

@@ -13,13 +13,13 @@ use nest_faults::FaultPlan;
 use nest_freq::Governor;
 use nest_metrics::{
     ExecutionTrace, FreqResidency, FreqResidencyProbe, PhaseBreakdownProbe, PhaseMetrics,
-    PlacementCounts, PlacementProbe, ServeMetrics, ServeMetricsProbe, UnderloadData,
-    UnderloadProbe, WakeupLatencies, WakeupLatencyProbe,
+    PlacementCounts, ServeMetrics, ServeMetricsProbe, UnderloadData, UnderloadProbe,
+    WakeupLatencies, WakeupLatencyProbe,
 };
-use nest_metrics::{FleetRunStats, FleetSummary, RunSummary, ServeSummary};
+use nest_metrics::{FleetRunStats, FleetSummary, LatencySummary, RunSummary, ServeSummary};
 use nest_obs::{
     DecisionMetrics, DecisionMetricsProbe, EventClass, InvariantChecker, InvariantCounts,
-    TimeSeries, TimeSeriesSampler, TraceCollector, TraceLog,
+    TimeSeries, TimeSeriesSampler, TraceCollector,
 };
 use nest_sched::{Cfs, CfsParams, Nest, NestParams, SchedPolicy, Smove, SmoveParams};
 use nest_simcore::rng::mix64;
@@ -213,49 +213,62 @@ impl RunResult {
     /// harness caches and serializes). The execution trace and raw latency
     /// samples are dropped; everything a non-trace figure reads survives.
     pub fn summarize(&self) -> RunSummary {
-        let mut summary = RunSummary::collect(
-            self.time_s,
-            self.energy_j,
-            &self.underload,
-            &self.freq,
-            &self.placements,
-            &self.latency,
-            self.total_tasks,
-            self.hit_horizon,
-        );
-        if self.serve.runs > 0 {
-            summary.serve = Some(ServeSummary::from_metrics(&self.serve));
+        let mut placements: Vec<(String, u64)> = self
+            .placements
+            .by_path
+            .iter()
+            .map(|(p, n)| (format!("{p:?}"), *n))
+            .collect();
+        placements.sort();
+        RunSummary {
+            time_s: self.time_s,
+            energy_j: self.energy_j,
+            underload_per_s: self.underload.underload_per_second(),
+            total_underload: self.underload.total_underload(),
+            freq_edges_ghz: self.freq.edges_ghz.clone(),
+            freq_busy_ns: self.freq.busy_ns.clone(),
+            placements,
+            distinct_cores: self.placements.distinct_cores(),
+            latency: LatencySummary::from_latencies(&self.latency),
+            total_tasks: self.total_tasks,
+            hit_horizon: self.hit_horizon,
+            serve: (self.serve.runs > 0).then(|| ServeSummary::from_metrics(&self.serve)),
+            fleet: self.fleet.as_ref().map(FleetSummary::from_stats),
         }
-        if let Some(fleet) = &self.fleet {
-            summary.fleet = Some(FleetSummary::from_stats(fleet));
-        }
-        summary
     }
 }
 
-fn take<T: Default>(cell: &Rc<RefCell<T>>) -> T {
-    std::mem::take(&mut cell.borrow_mut())
+/// Moves one result out of a shared probe once the run is over.
+fn take<P, T: Default>(probe: &Rc<RefCell<P>>, result: impl FnOnce(&mut P) -> &mut T) -> T {
+    std::mem::take(result(&mut probe.borrow_mut()))
 }
 
-/// Shared handles to the standard probe rig's metric cells, kept until
-/// the run finishes and [`collect_result`] drains them.
+/// Attaches `probe` to `engine` and returns the caller's handle to it.
+fn attach<P: Probe + 'static>(engine: &mut Engine, probe: P) -> Rc<RefCell<P>> {
+    let shared = Rc::new(RefCell::new(probe));
+    engine.add_probe(Box::new(Rc::clone(&shared)));
+    shared
+}
+
+/// The standard probe rig, shared with the engine that drives it; each
+/// probe keeps its result until [`collect_result`] moves it out.
 ///
 /// The rig is built by [`build_engine`] in one fixed attachment order —
 /// the order [`Engine::snapshot`] records and
 /// [`crate::snapshot::restore`] must replay exactly.
 pub(crate) struct ProbeRig {
-    underload: Rc<RefCell<UnderloadData>>,
-    freq: Rc<RefCell<FreqResidency>>,
+    underload: Rc<RefCell<UnderloadProbe>>,
+    freq: Rc<RefCell<FreqResidencyProbe>>,
     placements: Rc<RefCell<PlacementCounts>>,
-    latency: Rc<RefCell<WakeupLatencies>>,
-    decision: Rc<RefCell<DecisionMetrics>>,
-    invariants: Rc<RefCell<InvariantCounts>>,
-    serve: Option<Rc<RefCell<ServeMetrics>>>,
-    phases: Option<Rc<RefCell<PhaseMetrics>>>,
+    latency: Rc<RefCell<WakeupLatencyProbe>>,
+    decision: Rc<RefCell<DecisionMetricsProbe>>,
+    invariants: Rc<RefCell<InvariantChecker>>,
+    serve: Option<Rc<RefCell<ServeMetricsProbe>>>,
+    phases: Option<Rc<RefCell<PhaseBreakdownProbe>>>,
     /// The run/frequency capture of a traced run, with each core's
     /// starting frequency.
-    trace: Option<(Rc<RefCell<TraceLog>>, Vec<Freq>)>,
-    timeseries: Rc<RefCell<TimeSeries>>,
+    trace: Option<(Rc<RefCell<TraceCollector>>, Vec<Freq>)>,
+    timeseries: Rc<RefCell<TimeSeriesSampler>>,
 }
 
 /// Builds an [`Engine`] for `cfg` with the standard probe rig attached
@@ -279,19 +292,18 @@ pub(crate) fn build_engine(
         .wall_limit(cfg.wall_limit);
     let mut engine = Engine::new(engine_cfg, cfg.policy.build(n_cores));
 
-    let (up, underload) = UnderloadProbe::new(n_cores);
-    engine.add_probe(Box::new(up));
+    let underload = attach(&mut engine, UnderloadProbe::new(n_cores));
     let initial_freq = cfg.governor.idle_floor(&cfg.machine.freq);
-    let (fp, freq) = FreqResidencyProbe::new(
-        n_cores,
-        &cfg.machine.freq.residency_buckets_ghz,
-        initial_freq,
+    let freq = attach(
+        &mut engine,
+        FreqResidencyProbe::new(
+            n_cores,
+            &cfg.machine.freq.residency_buckets_ghz,
+            initial_freq,
+        ),
     );
-    engine.add_probe(Box::new(fp));
-    let (pp, placements) = PlacementProbe::new(n_cores);
-    engine.add_probe(Box::new(pp));
-    let (lp, latency) = WakeupLatencyProbe::new();
-    engine.add_probe(Box::new(lp));
+    let placements = attach(&mut engine, PlacementCounts::new(n_cores));
+    let latency = attach(&mut engine, WakeupLatencyProbe::default());
     let topo = nest_topology::Topology::new(cfg.machine.clone());
     let (ccx_of, socket_of): (Vec<u32>, Vec<u32>) = (0..n_cores)
         .map(|c| {
@@ -302,34 +314,37 @@ pub(crate) fn build_engine(
             )
         })
         .unzip();
-    let (dp, decision) = DecisionMetricsProbe::with_domains(ccx_of.clone(), socket_of.clone());
-    engine.add_probe(Box::new(dp));
-    let (ic, invariants) = InvariantChecker::new(
-        n_cores,
-        cfg.machine.freq.fmin.as_khz(),
-        cfg.machine.freq.fmax().as_khz(),
+    let decision = attach(
+        &mut engine,
+        DecisionMetricsProbe::new(ccx_of.clone(), socket_of.clone()),
     );
-    engine.add_probe(Box::new(ic));
+    let invariants = attach(
+        &mut engine,
+        InvariantChecker::new(
+            n_cores,
+            cfg.machine.freq.fmin.as_khz(),
+            cfg.machine.freq.fmax().as_khz(),
+        ),
+    );
     let (serve, phases) = if serve_slos.is_empty() {
         (None, None)
     } else {
-        let (sp, sh) = ServeMetricsProbe::new(serve_slos);
-        engine.add_probe(Box::new(sp));
-        let (php, ph) = PhaseBreakdownProbe::new(&cfg.machine, ccx_of.clone());
-        engine.add_probe(Box::new(php));
-        (Some(sh), Some(ph))
+        let serve = attach(&mut engine, ServeMetricsProbe::new(serve_slos));
+        let phases = attach(
+            &mut engine,
+            PhaseBreakdownProbe::new(&cfg.machine, ccx_of.clone()),
+        );
+        (Some(serve), Some(phases))
     };
-    let trace = if cfg.collect_trace {
-        let (tc, log) = TraceCollector::new(usize::MAX);
-        engine.add_probe(Box::new(
-            tc.with_classes(&[EventClass::Run, EventClass::Freq]),
-        ));
-        Some((log, vec![initial_freq; n_cores]))
-    } else {
-        None
-    };
-    let (tsp, timeseries) = TimeSeriesSampler::new(&cfg.machine, ccx_of, socket_of);
-    engine.add_probe(Box::new(tsp));
+    let trace = cfg.collect_trace.then(|| {
+        let collector =
+            TraceCollector::new(usize::MAX).with_classes(&[EventClass::Run, EventClass::Freq]);
+        (attach(&mut engine, collector), vec![initial_freq; n_cores])
+    });
+    let timeseries = attach(
+        &mut engine,
+        TimeSeriesSampler::new(&cfg.machine, ccx_of, socket_of),
+    );
     for p in extra_probes {
         engine.add_probe(p);
     }
@@ -384,34 +399,35 @@ pub(crate) fn spawn_tasks(engine: &mut Engine, seed: u64, workload: &dyn Workloa
 
 /// Drains the probe rig into a [`RunResult`] once the run is over.
 pub(crate) fn collect_result(outcome: &RunOutcome, rig: ProbeRig) -> RunResult {
-    let invariants = rig.invariants.borrow().clone();
     let serve = match rig.serve {
-        Some(h) => {
-            let mut m = take(&h);
-            m.energy_j = outcome.energy_joules;
-            m
-        }
+        Some(p) => ServeMetrics {
+            energy_j: outcome.energy_joules,
+            ..take(&p, |p| &mut p.metrics)
+        },
         None => ServeMetrics::default(),
     };
     RunResult {
         time_s: outcome.finished_at.as_secs_f64(),
         energy_j: outcome.energy_joules,
-        underload: take(&rig.underload),
-        freq: take(&rig.freq),
-        placements: take(&rig.placements),
-        latency: take(&rig.latency),
-        trace: rig.trace.map(|(log, freq)| {
-            let log = take(&log);
+        underload: take(&rig.underload, |p| &mut p.data),
+        freq: take(&rig.freq, |p| &mut p.residency),
+        placements: take(&rig.placements, |p| p),
+        latency: take(&rig.latency, |p| &mut p.latencies),
+        trace: rig.trace.map(|(collector, freq)| {
+            let log = take(&collector, |c| &mut c.log);
             ExecutionTrace::from_events(freq, &log.events, log.duration)
         }),
-        decision: take(&rig.decision),
+        decision: take(&rig.decision, |p| &mut p.metrics),
         serve,
         total_tasks: outcome.total_tasks,
         hit_horizon: outcome.hit_horizon,
         aborted: outcome.aborted,
-        invariants,
-        phases: rig.phases.map(|h| take(&h)).unwrap_or_default(),
-        timeseries: take(&rig.timeseries),
+        invariants: take(&rig.invariants, |p| &mut p.counts),
+        phases: rig
+            .phases
+            .map(|p| take(&p, |p| &mut p.metrics))
+            .unwrap_or_default(),
+        timeseries: take(&rig.timeseries, |p| &mut p.series),
         fleet: None,
     }
 }
@@ -539,11 +555,15 @@ mod tests {
     fn extra_probes_observe_without_perturbing() {
         let cfg = quick_cfg();
         let base = run_once(&cfg, &Configure::named("gdb"));
-        let (c, log) = nest_obs::TraceCollector::new(1 << 16);
-        let r = run_once_with(&cfg, &Configure::named("gdb"), vec![Box::new(c)]);
+        let collector = Rc::new(RefCell::new(TraceCollector::new(1 << 16)));
+        let r = run_once_with(
+            &cfg,
+            &Configure::named("gdb"),
+            vec![Box::new(Rc::clone(&collector))],
+        );
         assert_eq!(r.time_s, base.time_s);
         assert_eq!(r.energy_j, base.energy_j);
-        assert!(!log.borrow().events.is_empty());
+        assert!(!collector.borrow().log.events.is_empty());
     }
 
     #[test]

@@ -435,20 +435,71 @@ mod tests {
         }
     }
 
+    /// A snapshot whose body `edit` changed, with the header's checksum
+    /// recomputed so the edit reaches the body's own validation.
+    fn edited_snapshot(edit: impl FnOnce(&mut Json)) -> String {
+        let mut doc = json::parse(&snap_at(Time::from_millis(40))).unwrap();
+        let body = field_mut(&mut doc, "body");
+        edit(body);
+        let checksum = Json::str(&body_checksum(&body.to_pretty()));
+        *field_mut(field_mut(&mut doc, HEADER_KEY), "checksum") = checksum;
+        doc.to_pretty()
+    }
+
+    /// The snapshot's probe entries, mutably.
+    fn probes_mut(body: &mut Json) -> &mut Vec<Json> {
+        match field_mut(body, "probes") {
+            Json::Arr(probes) => probes,
+            other => panic!("probes is not an array: {other:?}"),
+        }
+    }
+
+    fn restore_err(text: &str) -> SnapError {
+        restore(&cfg(), &Configure::named("gdb"), text, IDENTITY)
+            .err()
+            .expect("the edited snapshot must be refused")
+    }
+
     #[test]
     fn an_out_of_range_core_is_a_state_error_not_a_panic() {
         // A body that passes the checksum but names a core the machine
         // does not have must be refused by the kernel's own bound check.
-        let mut doc = json::parse(&snap_at(Time::from_millis(40))).unwrap();
-        let body = field_mut(&mut doc, "body");
-        *field_mut(field_mut(body, "kernel"), "online") = json::parse("[9999]").unwrap();
-        let checksum = Json::str(&body_checksum(&body.to_pretty()));
-        *field_mut(field_mut(&mut doc, HEADER_KEY), "checksum") = checksum;
-        let err = restore(&cfg(), &Configure::named("gdb"), &doc.to_pretty(), IDENTITY)
-            .err()
-            .unwrap();
+        let text = edited_snapshot(|body| {
+            *field_mut(field_mut(body, "kernel"), "online") = json::parse("[9999]").unwrap();
+        });
+        let err = restore_err(&text);
         assert!(matches!(err, SnapError::State(_)), "{err}");
         assert!(err.to_string().contains("9999"), "{err}");
+    }
+
+    #[test]
+    fn a_missing_probe_is_a_state_error() {
+        let mut attached = 0;
+        let text = edited_snapshot(|body| {
+            let probes = probes_mut(body);
+            attached = probes.len();
+            probes.pop();
+        });
+        let err = restore_err(&text);
+        assert!(matches!(err, SnapError::State(_)), "{err}");
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "snapshot carries {} probes, the restore rig attached {attached}",
+                attached - 1
+            )
+        );
+    }
+
+    #[test]
+    fn probes_out_of_attachment_order_are_a_state_error() {
+        let text = edited_snapshot(|body| probes_mut(body).swap(0, 1));
+        let err = restore_err(&text);
+        assert!(matches!(err, SnapError::State(_)), "{err}");
+        assert_eq!(
+            err.to_string(),
+            "probe #0 is \"metrics.underload\", but the snapshot carries \"metrics.freq_residency\""
+        );
     }
 
     #[test]

@@ -24,7 +24,7 @@ fn engine_nest() -> Engine {
     Engine::new(cfg, Box::new(Nest::new(n)))
 }
 
-/// Trace events counted by discriminant.
+/// A probe counting trace events by discriminant.
 #[derive(Default)]
 struct Counts {
     run_starts: usize,
@@ -35,30 +35,26 @@ struct Counts {
     max_runnable: u32,
 }
 
-/// A probe that counts into [`Counts`] the test still holds.
-struct Counter(Rc<RefCell<Counts>>);
-
-impl Probe for Counter {
+impl Probe for Counts {
     fn on_event(&mut self, _now: Time, event: &TraceEvent) {
-        let mut c = self.0.borrow_mut();
         match event {
-            TraceEvent::RunStart { .. } => c.run_starts += 1,
-            TraceEvent::RunStop { .. } => c.run_stops += 1,
-            TraceEvent::Placed { .. } => c.placed += 1,
-            TraceEvent::SpinStart { .. } => c.spins += 1,
-            TraceEvent::Woken { .. } => c.woken += 1,
+            TraceEvent::RunStart { .. } => self.run_starts += 1,
+            TraceEvent::RunStop { .. } => self.run_stops += 1,
+            TraceEvent::Placed { .. } => self.placed += 1,
+            TraceEvent::SpinStart { .. } => self.spins += 1,
+            TraceEvent::Woken { .. } => self.woken += 1,
             TraceEvent::RunnableCount { count } => {
-                c.max_runnable = c.max_runnable.max(*count);
+                self.max_runnable = self.max_runnable.max(*count);
             }
             _ => {}
         }
     }
 }
 
-/// Attaches a [`Counter`] to `eng` and returns its counts.
+/// Attaches a [`Counts`] probe to `eng` and returns the test's handle.
 fn count_events(eng: &mut Engine) -> Rc<RefCell<Counts>> {
     let counts = Rc::new(RefCell::new(Counts::default()));
-    eng.add_probe(Box::new(Counter(counts.clone())));
+    eng.add_probe(Box::new(Rc::clone(&counts)));
     counts
 }
 

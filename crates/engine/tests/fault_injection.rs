@@ -43,7 +43,8 @@ fn churn_script(n_children: usize) -> TaskSpec {
     TaskSpec::script("root", script)
 }
 
-/// State shared out of [`OfflineActivityCheck`].
+/// Tracks per-core online state from the trace and records any event
+/// that targets an offline core with new activity.
 #[derive(Default)]
 struct OfflineStats {
     offline: std::collections::HashSet<u32>,
@@ -53,43 +54,24 @@ struct OfflineStats {
     violations: Vec<String>,
 }
 
-/// Tracks per-core online state from the trace and records any event
-/// that targets an offline core with new activity.
-struct OfflineActivityCheck {
-    stats: Rc<RefCell<OfflineStats>>,
-}
-
-impl OfflineActivityCheck {
-    fn new() -> (OfflineActivityCheck, Rc<RefCell<OfflineStats>>) {
-        let stats = Rc::new(RefCell::new(OfflineStats::default()));
-        (
-            OfflineActivityCheck {
-                stats: Rc::clone(&stats),
-            },
-            stats,
-        )
-    }
-}
-
-impl Probe for OfflineActivityCheck {
+impl Probe for OfflineStats {
     fn on_event(&mut self, now: Time, event: &TraceEvent) {
-        let mut s = self.stats.borrow_mut();
         match event {
             TraceEvent::CoreOffline { core } => {
-                s.offline.insert(core.0);
-                s.ever_offline.insert(core.0);
-                s.offlines += 1;
+                self.offline.insert(core.0);
+                self.ever_offline.insert(core.0);
+                self.offlines += 1;
             }
             TraceEvent::CoreOnline { core } => {
-                s.offline.remove(&core.0);
-                s.onlines += 1;
+                self.offline.remove(&core.0);
+                self.onlines += 1;
             }
             TraceEvent::Placed { core, .. }
             | TraceEvent::RunStart { core, .. }
             | TraceEvent::SpinStart { core }
-                if s.offline.contains(&core.0) =>
+                if self.offline.contains(&core.0) =>
             {
-                s.violations
+                self.violations
                     .push(format!("{event:?} on offline core at {now}"));
             }
             _ => {}
@@ -113,8 +95,8 @@ fn run_with_faults(
         "smove" => Engine::new(cfg, Box::new(Smove::new())),
         _ => unreachable!(),
     };
-    let (probe, stats) = OfflineActivityCheck::new();
-    eng.add_probe(Box::new(probe));
+    let stats = Rc::new(RefCell::new(OfflineStats::default()));
+    eng.add_probe(Box::new(Rc::clone(&stats)));
     eng.spawn(churn_script(24));
     let out = eng.run();
     (out, stats)
@@ -155,29 +137,25 @@ fn throttle_caps_frequencies_on_the_faulted_socket() {
         throttled: bool,
         busy: std::collections::HashSet<u32>,
     }
-    struct ThrottleWatch {
-        stats: Rc<RefCell<ThrottleStats>>,
-    }
-    impl Probe for ThrottleWatch {
+    impl Probe for ThrottleStats {
         fn on_event(&mut self, _now: Time, event: &TraceEvent) {
-            let mut s = self.stats.borrow_mut();
             match event {
                 TraceEvent::SocketThrottle { socket, factor } => {
-                    s.throttles.push((*socket, *factor));
-                    s.throttled = *factor < 1.0;
+                    self.throttles.push((*socket, *factor));
+                    self.throttled = *factor < 1.0;
                 }
                 TraceEvent::RunStart { core, .. } => {
-                    s.busy.insert(core.0);
+                    self.busy.insert(core.0);
                 }
                 TraceEvent::RunStop { core, .. } => {
-                    s.busy.remove(&core.0);
+                    self.busy.remove(&core.0);
                 }
                 // Only busy cores are pinned under the cap: an idle core
                 // merely decays through it (its clock is gated anyway).
                 TraceEvent::FreqChange { core, freq }
-                    if core.0 < 32 && s.throttled && s.busy.contains(&core.0) =>
+                    if core.0 < 32 && self.throttled && self.busy.contains(&core.0) =>
                 {
-                    s.max_khz_while_throttled = s.max_khz_while_throttled.max(freq.as_khz());
+                    self.max_khz_while_throttled = self.max_khz_while_throttled.max(freq.as_khz());
                 }
                 _ => {}
             }
@@ -189,9 +167,7 @@ fn throttle_caps_frequencies_on_the_faulted_socket() {
         .faults(FaultPlan::parse("faults:throttle=s0:0.5@5ms:40ms").unwrap());
     let mut eng = Engine::new(cfg, Box::new(Cfs::new()));
     let stats = Rc::new(RefCell::new(ThrottleStats::default()));
-    eng.add_probe(Box::new(ThrottleWatch {
-        stats: Rc::clone(&stats),
-    }));
+    eng.add_probe(Box::new(Rc::clone(&stats)));
     eng.spawn(churn_script(24));
     let out = eng.run();
     assert_eq!(out.live_tasks, 0);

@@ -13,7 +13,9 @@
 //! The stream is captured with the real `nest-obs` collector, so these
 //! tests also cover the capture path the `nest-sim trace` exporter uses.
 
+use std::cell::RefCell;
 use std::collections::HashSet;
+use std::rc::Rc;
 
 use nest_engine::{Engine, EngineConfig};
 use nest_obs::TraceCollector;
@@ -53,15 +55,17 @@ fn spawn_workload(eng: &mut Engine) {
 fn captured_stream(policy: Box<dyn SchedPolicy>) -> Vec<(Time, TraceEvent)> {
     let cfg = EngineConfig::new(presets::xeon_6130(2));
     let mut eng = Engine::new(cfg, policy);
-    let (collector, log) = TraceCollector::new(TraceCollector::DEFAULT_CAPACITY);
-    eng.add_probe(Box::new(collector));
+    let collector = Rc::new(RefCell::new(TraceCollector::new(
+        TraceCollector::DEFAULT_CAPACITY,
+    )));
+    eng.add_probe(Box::new(Rc::clone(&collector)));
     spawn_workload(&mut eng);
     let out = eng.run();
     assert_eq!(out.live_tasks, 0, "workload must drain");
-    let log = log.borrow();
+    let log = std::mem::take(&mut collector.borrow_mut().log);
     assert_eq!(log.dropped, 0, "capture must be lossless for this check");
     assert!(!log.events.is_empty());
-    log.events.clone()
+    log.events
 }
 
 fn check_invariants(events: &[(Time, TraceEvent)]) {

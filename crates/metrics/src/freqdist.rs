@@ -5,17 +5,11 @@
 //! ranges the paper's figures use (e.g. `(0,1.0] (1.0,1.6] … (3.4,3.7]`
 //! GHz on the 6130).
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use nest_simcore::json::{self, Json};
 use nest_simcore::snap::{self, Snap};
 use nest_simcore::{Freq, Probe, Time, TraceEvent};
 
-/// Registry kind under which [`FreqResidencyProbe`] snapshots itself.
-pub const FREQ_RESIDENCY_PROBE_KIND: &str = "metrics.freq_residency";
-
-/// Residency histogram; obtain via [`FreqResidencyProbe::new`].
+/// Residency histogram, accumulated in place by [`FreqResidencyProbe`].
 #[derive(Debug, Default)]
 pub struct FreqResidency {
     /// Bucket upper edges in GHz.
@@ -64,41 +58,32 @@ impl FreqResidency {
 
 /// Probe accumulating busy time per frequency bucket.
 pub struct FreqResidencyProbe {
-    data: Rc<RefCell<FreqResidency>>,
+    /// The residency histogram; complete once the run finishes.
+    pub residency: FreqResidency,
     edges_khz: Vec<u64>,
     busy: Vec<bool>,
     freq: Vec<Freq>,
     since: Vec<Time>,
-    acc: Vec<u64>,
 }
 
 impl FreqResidencyProbe {
     /// Creates the probe for a machine with `n_cores` cores and the given
     /// bucket edges (GHz), with all cores initially at `initial` frequency.
-    pub fn new(
-        n_cores: usize,
-        edges_ghz: &[f64],
-        initial: Freq,
-    ) -> (FreqResidencyProbe, Rc<RefCell<FreqResidency>>) {
+    pub fn new(n_cores: usize, edges_ghz: &[f64], initial: Freq) -> FreqResidencyProbe {
         assert!(!edges_ghz.is_empty(), "need at least one bucket");
-        let data = Rc::new(RefCell::new(FreqResidency {
-            edges_ghz: edges_ghz.to_vec(),
-            busy_ns: vec![0; edges_ghz.len()],
-        }));
-        (
-            FreqResidencyProbe {
-                data: Rc::clone(&data),
-                edges_khz: edges_ghz
-                    .iter()
-                    .map(|g| (g * 1_000_000.0).round() as u64)
-                    .collect(),
-                busy: vec![false; n_cores],
-                freq: vec![initial; n_cores],
-                since: vec![Time::ZERO; n_cores],
-                acc: vec![0; edges_ghz.len()],
+        FreqResidencyProbe {
+            residency: FreqResidency {
+                edges_ghz: edges_ghz.to_vec(),
+                busy_ns: vec![0; edges_ghz.len()],
             },
-            data,
-        )
+            edges_khz: edges_ghz
+                .iter()
+                .map(|g| (g * 1_000_000.0).round() as u64)
+                .collect(),
+            busy: vec![false; n_cores],
+            freq: vec![initial; n_cores],
+            since: vec![Time::ZERO; n_cores],
+        }
     }
 
     fn bucket(&self, f: Freq) -> usize {
@@ -114,7 +99,7 @@ impl FreqResidencyProbe {
     fn settle(&mut self, core: usize, now: Time) {
         if self.busy[core] {
             let b = self.bucket(self.freq[core]);
-            self.acc[b] += now.saturating_since(self.since[core]);
+            self.residency.busy_ns[b] += now.saturating_since(self.since[core]);
         }
         self.since[core] = now;
     }
@@ -146,20 +131,18 @@ impl Probe for FreqResidencyProbe {
         for c in 0..self.busy.len() {
             self.settle(c, now);
         }
-        let mut d = self.data.borrow_mut();
-        d.busy_ns = self.acc.clone();
     }
 
     fn snap(&self) -> Option<(&'static str, Json)> {
         // Bucket edges come from construction; only the accumulators and
         // per-core tracking travel.
         Some((
-            FREQ_RESIDENCY_PROBE_KIND,
+            "metrics.freq_residency",
             json::obj(vec![
                 ("busy", self.busy.save()),
                 ("freq_khz", self.freq.save()),
                 ("since", self.since.save()),
-                ("acc", self.acc.save()),
+                ("acc", self.residency.busy_ns.save()),
             ]),
         ))
     }
@@ -168,7 +151,7 @@ impl Probe for FreqResidencyProbe {
         self.busy = snap::load_len(state, "busy", self.busy.len())?;
         self.freq = snap::load_len(state, "freq_khz", self.freq.len())?;
         self.since = snap::load_len(state, "since", self.since.len())?;
-        self.acc = snap::load_len(state, "acc", self.acc.len())?;
+        self.residency.busy_ns = snap::load_len(state, "acc", self.residency.busy_ns.len())?;
         Ok(())
     }
 }
@@ -178,13 +161,13 @@ mod tests {
     use super::*;
     use nest_simcore::{CoreId, StopReason, TaskId};
 
-    fn probe() -> (FreqResidencyProbe, Rc<RefCell<FreqResidency>>) {
+    fn probe() -> FreqResidencyProbe {
         FreqResidencyProbe::new(4, &[1.0, 2.0, 3.0], Freq::from_ghz(1.0))
     }
 
     #[test]
     fn attributes_busy_time_to_bucket() {
-        let (mut p, d) = probe();
+        let mut p = probe();
         p.on_event(
             Time::ZERO,
             &TraceEvent::RunStart {
@@ -201,14 +184,14 @@ mod tests {
             },
         );
         p.on_finish(Time::from_millis(20));
-        let d = d.borrow();
+        let d = &p.residency;
         assert_eq!(d.busy_ns[0], 10_000_000);
         assert_eq!(d.total_busy_ns(), 10_000_000);
     }
 
     #[test]
     fn freq_change_splits_attribution() {
-        let (mut p, d) = probe();
+        let mut p = probe();
         p.on_event(
             Time::ZERO,
             &TraceEvent::RunStart {
@@ -232,7 +215,7 @@ mod tests {
             },
         );
         p.on_finish(Time::from_millis(10));
-        let d = d.borrow();
+        let d = &p.residency;
         assert_eq!(d.busy_ns[0], 4_000_000, "1.0 GHz portion");
         assert_eq!(d.busy_ns[2], 6_000_000, "2.5 GHz lands in (2,3]");
         let f = d.fractions();
@@ -243,7 +226,7 @@ mod tests {
 
     #[test]
     fn idle_time_not_counted() {
-        let (mut p, d) = probe();
+        let mut p = probe();
         p.on_event(
             Time::from_millis(5),
             &TraceEvent::FreqChange {
@@ -252,12 +235,12 @@ mod tests {
             },
         );
         p.on_finish(Time::from_millis(50));
-        assert_eq!(d.borrow().total_busy_ns(), 0);
+        assert_eq!(p.residency.total_busy_ns(), 0);
     }
 
     #[test]
     fn above_top_edge_clamps_to_last_bucket() {
-        let (mut p, d) = probe();
+        let mut p = probe();
         p.on_event(
             Time::ZERO,
             &TraceEvent::FreqChange {
@@ -273,14 +256,14 @@ mod tests {
             },
         );
         p.on_finish(Time::from_millis(1));
-        assert_eq!(d.borrow().busy_ns[2], 1_000_000);
+        assert_eq!(p.residency.busy_ns[2], 1_000_000);
     }
 
     #[test]
     fn labels_render_ranges() {
-        let (_p, d) = probe();
+        let p = probe();
         assert_eq!(
-            d.borrow().labels(),
+            p.residency.labels(),
             vec!["(0.0, 1.0]", "(1.0, 2.0]", "(2.0, 3.0]"]
         );
     }

@@ -4,18 +4,13 @@
 //! and it actually starting to run ([`TraceEvent::RunStart`]), and computes
 //! percentiles including the 99.9th that schbench reports.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
 
 use nest_simcore::json::{self, Json};
 use nest_simcore::snap::{self, Snap};
 use nest_simcore::{Probe, TaskId, Time, TraceEvent};
 
-/// Registry kind under which [`WakeupLatencyProbe`] snapshots itself.
-pub const WAKEUP_LATENCY_PROBE_KIND: &str = "metrics.wakeup_latency";
-
-/// Collected wakeup latencies; obtain via [`WakeupLatencyProbe::new`].
+/// Wakeup latencies, collected in place by [`WakeupLatencyProbe`].
 #[derive(Debug, Default)]
 pub struct WakeupLatencies {
     /// All observed latencies in nanoseconds (unordered).
@@ -61,25 +56,11 @@ impl WakeupLatencies {
 }
 
 /// Probe pairing wakeups with run starts.
+#[derive(Default)]
 pub struct WakeupLatencyProbe {
-    data: Rc<RefCell<WakeupLatencies>>,
+    /// The latencies observed so far.
+    pub latencies: WakeupLatencies,
     pending: HashMap<TaskId, Time>,
-    samples: Vec<u64>,
-}
-
-impl WakeupLatencyProbe {
-    /// Creates the probe and its shared result handle.
-    pub fn new() -> (WakeupLatencyProbe, Rc<RefCell<WakeupLatencies>>) {
-        let data = Rc::new(RefCell::new(WakeupLatencies::default()));
-        (
-            WakeupLatencyProbe {
-                data: Rc::clone(&data),
-                pending: HashMap::new(),
-                samples: Vec::new(),
-            },
-            data,
-        )
-    }
 }
 
 impl Probe for WakeupLatencyProbe {
@@ -90,30 +71,26 @@ impl Probe for WakeupLatencyProbe {
             }
             TraceEvent::RunStart { task, .. } => {
                 if let Some(woken) = self.pending.remove(task) {
-                    self.samples.push(now.saturating_since(woken));
+                    self.latencies.samples.push(now.saturating_since(woken));
                 }
             }
             _ => {}
         }
     }
 
-    fn on_finish(&mut self, _now: Time) {
-        self.data.borrow_mut().samples = std::mem::take(&mut self.samples);
-    }
-
     fn snap(&self) -> Option<(&'static str, Json)> {
         Some((
-            WAKEUP_LATENCY_PROBE_KIND,
+            "metrics.wakeup_latency",
             json::obj(vec![
                 ("pending", self.pending.save()),
-                ("samples", self.samples.save()),
+                ("samples", self.latencies.samples.save()),
             ]),
         ))
     }
 
     fn snap_restore(&mut self, state: &Json) -> Result<(), String> {
         self.pending = snap::load(state, "pending")?;
-        self.samples = snap::load(state, "samples")?;
+        self.latencies.samples = snap::load(state, "samples")?;
         Ok(())
     }
 }
@@ -125,7 +102,7 @@ mod tests {
 
     #[test]
     fn pairs_woken_with_run_start() {
-        let (mut p, d) = WakeupLatencyProbe::new();
+        let mut p = WakeupLatencyProbe::default();
         p.on_event(
             Time::from_nanos(100),
             &TraceEvent::Woken { task: TaskId(1) },
@@ -138,12 +115,12 @@ mod tests {
             },
         );
         p.on_finish(Time::from_nanos(400));
-        assert_eq!(d.borrow().samples, vec![250]);
+        assert_eq!(p.latencies.samples, vec![250]);
     }
 
     #[test]
     fn run_start_without_wake_ignored() {
-        let (mut p, d) = WakeupLatencyProbe::new();
+        let mut p = WakeupLatencyProbe::default();
         p.on_event(
             Time::from_nanos(350),
             &TraceEvent::RunStart {
@@ -152,8 +129,8 @@ mod tests {
             },
         );
         p.on_finish(Time::from_nanos(400));
-        assert!(d.borrow().samples.is_empty());
-        assert_eq!(d.borrow().p999(), None);
+        assert!(p.latencies.samples.is_empty());
+        assert_eq!(p.latencies.p999(), None);
     }
 
     #[test]
@@ -170,7 +147,7 @@ mod tests {
 
     #[test]
     fn repeated_wakeups_produce_multiple_samples() {
-        let (mut p, d) = WakeupLatencyProbe::new();
+        let mut p = WakeupLatencyProbe::default();
         for i in 0..5u64 {
             let t0 = Time::from_nanos(i * 1000);
             p.on_event(t0, &TraceEvent::Woken { task: TaskId(7) });
@@ -183,6 +160,6 @@ mod tests {
             );
         }
         p.on_finish(Time::from_nanos(10_000));
-        assert_eq!(d.borrow().samples.len(), 5);
+        assert_eq!(p.latencies.samples.len(), 5);
     }
 }

@@ -21,15 +21,13 @@ pub mod trace;
 pub mod underload;
 
 pub use fleet::{FleetMetrics, FleetRunStats, FleetSummary, FleetWindow};
-pub use freqdist::{FreqResidency, FreqResidencyProbe, FREQ_RESIDENCY_PROBE_KIND};
-pub use latency::{WakeupLatencies, WakeupLatencyProbe, WAKEUP_LATENCY_PROBE_KIND};
-pub use phase::{
-    PhaseBreakdownProbe, PhaseMetrics, N_PHASES, PHASE_BREAKDOWN_PROBE_KIND, PHASE_NAMES,
-};
-pub use placement::{PlacementCounts, PlacementProbe, PLACEMENT_PROBE_KIND};
-pub use serve::{ServeMetrics, ServeMetricsProbe, ServeSummary, SERVE_METRICS_PROBE_KIND};
+pub use freqdist::{FreqResidency, FreqResidencyProbe};
+pub use latency::{WakeupLatencies, WakeupLatencyProbe};
+pub use phase::{PhaseBreakdownProbe, PhaseMetrics, N_PHASES, PHASE_NAMES};
+pub use placement::PlacementCounts;
+pub use serve::{ServeMetrics, ServeMetricsProbe, ServeSummary};
 pub use stats::{improvement_pct, improvement_stats, savings_pct, speedup_pct, table4_band, Stats};
 pub use summary::{LatencySummary, RunSummary};
 pub use tail::TailHistogram;
 pub use trace::{ExecutionTrace, Span};
-pub use underload::{UnderloadData, UnderloadProbe, UNDERLOAD_PROBE_KIND};
+pub use underload::{UnderloadData, UnderloadProbe};

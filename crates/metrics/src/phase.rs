@@ -34,9 +34,7 @@
 //! engine needed no new event variants, and runs without serve plans pay
 //! only a label prefix check per task creation.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
 
 use nest_freq::ns_at_reference;
 use nest_serve::REQUEST_LABEL_PREFIX;
@@ -46,9 +44,6 @@ use nest_simcore::{CoreId, Freq, Probe, StopReason, TaskId, Time, TraceEvent};
 use nest_topology::MachineSpec;
 
 use crate::tail::TailHistogram;
-
-/// Registry kind under which [`PhaseBreakdownProbe`] snapshots itself.
-pub const PHASE_BREAKDOWN_PROBE_KIND: &str = "metrics.phase";
 
 /// The attribution phases, in accounting order. Phase indices throughout
 /// this module are positions in this array.
@@ -217,8 +212,9 @@ impl InFlight {
 /// the per-core spin flags so wakeups into spinning cores are credited
 /// to `spin_overlap`.
 pub struct PhaseBreakdownProbe {
-    out: Rc<RefCell<PhaseMetrics>>,
-    m: PhaseMetrics,
+    /// The run's attribution; `runs` and `sim_ns` are stamped when the
+    /// run finishes.
+    pub metrics: PhaseMetrics,
     fmax: Freq,
     /// CCX index of each logical core (from the topology).
     ccx_of: Vec<u32>,
@@ -237,12 +233,8 @@ pub struct PhaseBreakdownProbe {
 
 impl PhaseBreakdownProbe {
     /// Creates a probe for `spec` with the per-core CCX table (as
-    /// computed by the topology). The handle receives the metrics after
-    /// the run finishes.
-    pub fn new(
-        spec: &MachineSpec,
-        ccx_of: Vec<u32>,
-    ) -> (PhaseBreakdownProbe, Rc<RefCell<PhaseMetrics>>) {
+    /// computed by the topology).
+    pub fn new(spec: &MachineSpec, ccx_of: Vec<u32>) -> PhaseBreakdownProbe {
         let n_cores = spec.n_cores();
         assert_eq!(ccx_of.len(), n_cores, "ccx table must cover every core");
         let pps = spec.phys_per_socket;
@@ -259,10 +251,8 @@ impl PhaseBreakdownProbe {
                 (t0, t1)
             })
             .collect();
-        let out = Rc::new(RefCell::new(PhaseMetrics::default()));
-        let probe = PhaseBreakdownProbe {
-            out: Rc::clone(&out),
-            m: PhaseMetrics::default(),
+        PhaseBreakdownProbe {
+            metrics: PhaseMetrics::default(),
             fmax: spec.freq.fmax(),
             ccx_of,
             phys_of,
@@ -271,8 +261,7 @@ impl PhaseBreakdownProbe {
             spinning: vec![false; n_cores],
             running: vec![None; n_cores],
             inflight: HashMap::new(),
-        };
-        (probe, out)
+        }
     }
 
     /// Splits an on-CPU span at frequency `freq` into at-fmax service
@@ -380,11 +369,11 @@ impl Probe for PhaseBreakdownProbe {
                     }
                     let total = now.saturating_since(r.created);
                     if r.acc.iter().sum::<u64>() != total {
-                        self.m.identity_violations += 1;
+                        self.metrics.identity_violations += 1;
                     }
-                    self.m.requests += 1;
-                    self.m.total.record(total);
-                    for (i, h) in self.m.phases.iter_mut().enumerate() {
+                    self.metrics.requests += 1;
+                    self.metrics.total.record(total);
+                    for (i, h) in self.metrics.phases.iter_mut().enumerate() {
                         h.record(r.acc[i]);
                     }
                 }
@@ -413,9 +402,8 @@ impl Probe for PhaseBreakdownProbe {
     }
 
     fn on_finish(&mut self, now: Time) {
-        self.m.sim_ns = now.as_nanos();
-        self.m.runs = 1;
-        *self.out.borrow_mut() = std::mem::take(&mut self.m);
+        self.metrics.sim_ns = now.as_nanos();
+        self.metrics.runs = 1;
     }
 
     fn snap(&self) -> Option<(&'static str, Json)> {
@@ -451,12 +439,15 @@ impl Probe for PhaseBreakdownProbe {
             })
             .collect();
         Some((
-            PHASE_BREAKDOWN_PROBE_KIND,
+            "metrics.phase",
             obj(vec![
-                ("requests", self.m.requests.save()),
-                ("identity_violations", self.m.identity_violations.save()),
-                ("total", self.m.total.save()),
-                ("phases", self.m.phases.save()),
+                ("requests", self.metrics.requests.save()),
+                (
+                    "identity_violations",
+                    self.metrics.identity_violations.save(),
+                ),
+                ("total", self.metrics.total.save()),
+                ("phases", self.metrics.phases.save()),
                 ("phys_freq", self.phys_freq.save()),
                 ("spinning", self.spinning.save()),
                 ("inflight", Json::Arr(inflight)),
@@ -465,10 +456,10 @@ impl Probe for PhaseBreakdownProbe {
     }
 
     fn snap_restore(&mut self, state: &Json) -> Result<(), String> {
-        self.m.requests = snap::load(state, "requests")?;
-        self.m.identity_violations = snap::load(state, "identity_violations")?;
-        self.m.total = snap::load(state, "total")?;
-        self.m.phases = snap::load_len(state, "phases", N_PHASES)?;
+        self.metrics.requests = snap::load(state, "requests")?;
+        self.metrics.identity_violations = snap::load(state, "identity_violations")?;
+        self.metrics.total = snap::load(state, "total")?;
+        self.metrics.phases = snap::load_len(state, "phases", N_PHASES)?;
         self.phys_freq = snap::load_len(state, "phys_freq", self.phys_freq.len())?;
         self.spinning = snap::load_len(state, "spinning", self.spinning.len())?;
         self.inflight.clear();
@@ -515,7 +506,7 @@ mod tests {
     use super::*;
     use nest_topology::presets;
 
-    fn probe() -> (PhaseBreakdownProbe, Rc<RefCell<PhaseMetrics>>) {
+    fn probe() -> PhaseBreakdownProbe {
         let spec = presets::xeon_6130(1);
         // Pretend the socket splits into two CCXs so migration stalls
         // are observable on an Intel preset.
@@ -557,14 +548,14 @@ mod tests {
 
     #[test]
     fn simple_request_splits_into_arrival_service_and_ramp() {
-        let (mut p, out) = probe();
+        let mut p = probe();
         let t = Time::from_nanos;
         p.on_event(t(100), &created(1));
         p.on_event(t(300), &start(1, 0));
         p.on_event(t(800), &stop(1, 0, StopReason::Exit));
         p.on_event(t(800), &exited(1));
         p.on_finish(t(1_000));
-        let m = out.borrow();
+        let m = &p.metrics;
         assert_eq!(m.requests, 1);
         assert_eq!(m.identity_violations, 0);
         assert_eq!(m.phases[idx("arrival_queue")].sum, 200);
@@ -579,7 +570,7 @@ mod tests {
 
     #[test]
     fn at_fmax_there_is_no_ramp_penalty() {
-        let (mut p, out) = probe();
+        let mut p = probe();
         let t = Time::from_nanos;
         p.on_event(
             t(0),
@@ -593,14 +584,14 @@ mod tests {
         p.on_event(t(1_000_000), &stop(1, 0, StopReason::Exit));
         p.on_event(t(1_000_000), &exited(1));
         p.on_finish(t(1_000_000));
-        let m = out.borrow();
+        let m = &p.metrics;
         assert_eq!(m.phases[idx("service_fmax")].sum, 1_000_000);
         assert_eq!(m.phases[idx("ramp_penalty")].sum, 0);
     }
 
     #[test]
     fn freq_change_splits_the_running_segment() {
-        let (mut p, out) = probe();
+        let mut p = probe();
         let t = Time::from_nanos;
         p.on_event(t(0), &created(1));
         p.on_event(t(0), &start(1, 0));
@@ -615,7 +606,7 @@ mod tests {
         p.on_event(t(2_000), &stop(1, 0, StopReason::Exit));
         p.on_event(t(2_000), &exited(1));
         p.on_finish(t(2_000));
-        let m = out.borrow();
+        let m = &p.metrics;
         let service = m.phases[idx("service_fmax")].sum;
         let ramp = m.phases[idx("ramp_penalty")].sum;
         assert_eq!(service + ramp, 2_000);
@@ -626,7 +617,7 @@ mod tests {
 
     #[test]
     fn fanout_block_is_merge_wait_and_wake_classifies() {
-        let (mut p, out) = probe();
+        let mut p = probe();
         let t = Time::from_nanos;
         p.on_event(t(0), &created(1));
         p.on_event(t(0), &start(1, 0));
@@ -647,7 +638,7 @@ mod tests {
         p.on_event(t(6_400), &stop(1, 2, StopReason::Exit));
         p.on_event(t(6_400), &exited(1));
         p.on_finish(t(10_000));
-        let m = out.borrow();
+        let m = &p.metrics;
         assert_eq!(m.phases[idx("merge_wait")].sum, 4_000);
         assert_eq!(m.phases[idx("spin_overlap")].sum, 400);
         assert_eq!(m.phases[idx("migration_stall")].sum, 0);
@@ -657,7 +648,7 @@ mod tests {
 
     #[test]
     fn cross_ccx_resume_is_a_migration_stall() {
-        let (mut p, out) = probe();
+        let mut p = probe();
         let t = Time::from_nanos;
         p.on_event(t(0), &created(1));
         p.on_event(t(0), &start(1, 0)); // CCX 0
@@ -667,7 +658,7 @@ mod tests {
         p.on_event(t(3_000), &stop(1, 16, StopReason::Exit));
         p.on_event(t(3_000), &exited(1));
         p.on_finish(t(3_000));
-        let m = out.borrow();
+        let m = &p.metrics;
         assert_eq!(m.phases[idx("migration_stall")].sum, 500);
         assert_eq!(m.phases[idx("merge_wait")].sum, 1_000);
         assert_eq!(m.identity_violations, 0);
@@ -675,7 +666,7 @@ mod tests {
 
     #[test]
     fn preemption_wait_is_runqueue_time() {
-        let (mut p, out) = probe();
+        let mut p = probe();
         let t = Time::from_nanos;
         p.on_event(t(0), &created(1));
         p.on_event(t(0), &start(1, 0));
@@ -684,14 +675,14 @@ mod tests {
         p.on_event(t(5_000), &stop(1, 0, StopReason::Exit));
         p.on_event(t(5_000), &exited(1));
         p.on_finish(t(5_000));
-        let m = out.borrow();
+        let m = &p.metrics;
         assert_eq!(m.phases[idx("runqueue_wait")].sum, 3_000);
         assert_eq!(m.identity_violations, 0);
     }
 
     #[test]
     fn non_request_tasks_are_ignored() {
-        let (mut p, out) = probe();
+        let mut p = probe();
         let t = Time::from_nanos;
         p.on_event(
             t(0),
@@ -705,21 +696,20 @@ mod tests {
         p.on_event(t(500), &stop(7, 0, StopReason::Exit));
         p.on_event(t(500), &exited(7));
         p.on_finish(t(500));
-        assert_eq!(out.borrow().requests, 0);
+        assert_eq!(p.metrics.requests, 0);
     }
 
     #[test]
     fn merge_is_order_independent_and_json_round_trips() {
         let mk = |latency: u64| {
-            let (mut p, out) = probe();
+            let mut p = probe();
             let t = Time::from_nanos;
             p.on_event(t(0), &created(1));
             p.on_event(t(10), &start(1, 0));
             p.on_event(t(latency), &stop(1, 0, StopReason::Exit));
             p.on_event(t(latency), &exited(1));
             p.on_finish(t(latency));
-            let m = out.borrow().clone();
-            m
+            p.metrics
         };
         let a = mk(5_000);
         let b = mk(50_000);
@@ -765,17 +755,17 @@ mod tests {
             p.on_finish(t(4_000));
         };
 
-        let (mut straight, straight_out) = probe();
+        let mut straight = probe();
         feed_first_half(&mut straight);
         let (kind, state) = straight.snap().unwrap();
-        assert_eq!(kind, PHASE_BREAKDOWN_PROBE_KIND);
+        assert_eq!(kind, "metrics.phase");
 
-        let (mut restored, restored_out) = probe();
+        let mut restored = probe();
         restored.snap_restore(&state).unwrap();
         feed_second_half(&mut straight);
         feed_second_half(&mut restored);
-        assert_eq!(*straight_out.borrow(), *restored_out.borrow());
-        assert_eq!(restored_out.borrow().requests, 2);
-        assert_eq!(restored_out.borrow().identity_violations, 0);
+        assert_eq!(straight.metrics, restored.metrics);
+        assert_eq!(restored.metrics.requests, 2);
+        assert_eq!(restored.metrics.identity_violations, 0);
     }
 }

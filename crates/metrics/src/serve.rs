@@ -15,9 +15,7 @@
 //! carried inside `RunSummary` (and therefore through the result cache and
 //! figure artifacts).
 
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
 
 use nest_serve::REQUEST_LABEL_PREFIX;
 use nest_simcore::json::{obj, Json};
@@ -25,9 +23,6 @@ use nest_simcore::snap::{self, Snap};
 use nest_simcore::{Probe, TaskId, Time, TraceEvent};
 
 use crate::tail::TailHistogram;
-
-/// Registry kind under which [`ServeMetricsProbe`] snapshots itself.
-pub const SERVE_METRICS_PROBE_KIND: &str = "metrics.serve";
 
 /// Aggregated request-serving metrics over one or more runs.
 ///
@@ -178,25 +173,22 @@ impl ServeSummary {
 /// index embedded in each request label (`req:{plan}:{i}`), so colocated
 /// serve streams with different SLOs are judged against their own bound.
 pub struct ServeMetricsProbe {
-    out: Rc<RefCell<ServeMetrics>>,
-    m: ServeMetrics,
+    /// The run's metrics; `runs`, `sim_ns` and `slo_ns` are stamped when
+    /// the run finishes.
+    pub metrics: ServeMetrics,
     slos: Vec<u64>,
     arrived: HashMap<TaskId, (Time, u64)>,
 }
 
 impl ServeMetricsProbe {
     /// Creates a probe for serve plans with the given SLO bounds (ns).
-    /// The handle receives the metrics after the run finishes.
-    pub fn new(slos: Vec<u64>) -> (ServeMetricsProbe, Rc<RefCell<ServeMetrics>>) {
+    pub fn new(slos: Vec<u64>) -> ServeMetricsProbe {
         assert!(!slos.is_empty(), "serve probe needs at least one SLO");
-        let out = Rc::new(RefCell::new(ServeMetrics::default()));
-        let probe = ServeMetricsProbe {
-            out: Rc::clone(&out),
-            m: ServeMetrics::default(),
+        ServeMetricsProbe {
+            metrics: ServeMetrics::default(),
             slos,
             arrived: HashMap::new(),
-        };
-        (probe, out)
+        }
     }
 }
 
@@ -213,16 +205,16 @@ impl Probe for ServeMetricsProbe {
                     .and_then(|p| p.parse().ok())
                     .expect("request label must embed its plan index");
                 let slo = *self.slos.get(plan).expect("plan index within SLO table");
-                self.m.offered += 1;
+                self.metrics.offered += 1;
                 self.arrived.insert(*task, (now, slo));
             }
             TraceEvent::TaskExited { task } => {
                 if let Some((arrived, slo)) = self.arrived.remove(task) {
                     let ns = now.saturating_since(arrived);
-                    self.m.hist.record(ns);
-                    self.m.completed += 1;
+                    self.metrics.hist.record(ns);
+                    self.metrics.completed += 1;
                     if ns <= slo {
-                        self.m.within_slo += 1;
+                        self.metrics.within_slo += 1;
                     }
                 }
             }
@@ -231,10 +223,9 @@ impl Probe for ServeMetricsProbe {
     }
 
     fn on_finish(&mut self, now: Time) {
-        self.m.sim_ns = now.as_nanos();
-        self.m.runs = 1;
-        self.m.slo_ns = self.slos[0];
-        *self.out.borrow_mut() = std::mem::take(&mut self.m);
+        self.metrics.sim_ns = now.as_nanos();
+        self.metrics.runs = 1;
+        self.metrics.slo_ns = self.slos[0];
     }
 
     fn snap(&self) -> Option<(&'static str, Json)> {
@@ -249,22 +240,22 @@ impl Probe for ServeMetricsProbe {
             .collect();
         arrived.sort_unstable_by_key(|&(task, ..)| task);
         Some((
-            SERVE_METRICS_PROBE_KIND,
+            "metrics.serve",
             obj(vec![
-                ("offered", self.m.offered.save()),
-                ("completed", self.m.completed.save()),
-                ("within_slo", self.m.within_slo.save()),
-                ("hist", self.m.hist.save()),
+                ("offered", self.metrics.offered.save()),
+                ("completed", self.metrics.completed.save()),
+                ("within_slo", self.metrics.within_slo.save()),
+                ("hist", self.metrics.hist.save()),
                 ("arrived", arrived.save()),
             ]),
         ))
     }
 
     fn snap_restore(&mut self, state: &Json) -> Result<(), String> {
-        self.m.offered = snap::load(state, "offered")?;
-        self.m.completed = snap::load(state, "completed")?;
-        self.m.within_slo = snap::load(state, "within_slo")?;
-        self.m.hist = snap::load(state, "hist")?;
+        self.metrics.offered = snap::load(state, "offered")?;
+        self.metrics.completed = snap::load(state, "completed")?;
+        self.metrics.within_slo = snap::load(state, "within_slo")?;
+        self.metrics.hist = snap::load(state, "hist")?;
         let arrived: Vec<(TaskId, Time, u64)> = snap::load(state, "arrived")?;
         self.arrived = arrived
             .into_iter()
@@ -292,14 +283,14 @@ mod tests {
 
     #[test]
     fn pairs_request_creation_with_exit() {
-        let (mut p, out) = ServeMetricsProbe::new(vec![1_000_000]);
+        let mut p = ServeMetricsProbe::new(vec![1_000_000]);
         let t = Time::from_nanos;
         p.on_event(t(100), &created(1, "req:0:0"));
         p.on_event(t(200), &created(2, "worker-3"));
         p.on_event(t(500_100), &exited(1));
         p.on_event(t(700_000), &exited(2));
         p.on_finish(t(1_000_000));
-        let m = out.borrow();
+        let m = &p.metrics;
         assert_eq!(m.offered, 1, "non-request tasks are ignored");
         assert_eq!(m.completed, 1);
         assert_eq!(m.within_slo, 1);
@@ -311,7 +302,7 @@ mod tests {
 
     #[test]
     fn slo_is_judged_per_plan() {
-        let (mut p, out) = ServeMetricsProbe::new(vec![1_000, 1_000_000]);
+        let mut p = ServeMetricsProbe::new(vec![1_000, 1_000_000]);
         let t = Time::from_nanos;
         p.on_event(t(0), &created(1, "req:0:0"));
         p.on_event(t(0), &created(2, "req:1:0"));
@@ -319,7 +310,7 @@ mod tests {
         p.on_event(t(5_000), &exited(1));
         p.on_event(t(5_000), &exited(2));
         p.on_finish(t(10_000));
-        let m = out.borrow();
+        let m = &p.metrics;
         assert_eq!(m.completed, 2);
         assert_eq!(m.within_slo, 1);
         assert_eq!(m.slo_fraction(), Some(0.5));
@@ -327,11 +318,11 @@ mod tests {
 
     #[test]
     fn unfinished_requests_count_as_offered_only() {
-        let (mut p, out) = ServeMetricsProbe::new(vec![1_000]);
+        let mut p = ServeMetricsProbe::new(vec![1_000]);
         let t = Time::from_nanos;
         p.on_event(t(0), &created(1, "req:0:0"));
         p.on_finish(t(1_000_000_000));
-        let m = out.borrow();
+        let m = &p.metrics;
         assert_eq!(m.offered, 1);
         assert_eq!(m.completed, 0);
         assert_eq!(m.goodput_per_s(), Some(0.0));
@@ -341,12 +332,12 @@ mod tests {
     #[test]
     fn merge_is_order_independent() {
         let mk = |latency: u64, within: bool| {
-            let (mut p, out) = ServeMetricsProbe::new(vec![10_000]);
+            let mut p = ServeMetricsProbe::new(vec![10_000]);
             let t = Time::from_nanos;
             p.on_event(t(0), &created(1, "req:0:0"));
             p.on_event(t(latency), &exited(1));
             p.on_finish(t(1_000_000));
-            let mut m = out.borrow().clone();
+            let mut m = p.metrics;
             m.energy_j = if within { 1.0 } else { 2.0 };
             m
         };
@@ -366,12 +357,12 @@ mod tests {
 
     #[test]
     fn json_block_has_the_documented_fields_and_round_trips() {
-        let (mut p, out) = ServeMetricsProbe::new(vec![2_000_000]);
+        let mut p = ServeMetricsProbe::new(vec![2_000_000]);
         let t = Time::from_nanos;
         p.on_event(t(0), &created(1, "req:0:0"));
         p.on_event(t(1_500_000), &exited(1));
         p.on_finish(t(1_000_000_000));
-        let mut m = out.borrow().clone();
+        let mut m = p.metrics;
         m.energy_j = 0.5;
         let json = m.to_json();
         for key in [
@@ -396,12 +387,12 @@ mod tests {
 
     #[test]
     fn summary_projects_the_scalars() {
-        let (mut p, out) = ServeMetricsProbe::new(vec![2_000_000]);
+        let mut p = ServeMetricsProbe::new(vec![2_000_000]);
         let t = Time::from_nanos;
         p.on_event(t(0), &created(1, "req:0:0"));
         p.on_event(t(1_000_000), &exited(1));
         p.on_finish(t(2_000_000_000));
-        let mut m = out.borrow().clone();
+        let mut m = p.metrics;
         m.energy_j = 4.0;
         let s = ServeSummary::from_metrics(&m);
         assert_eq!(s.offered, 1);

@@ -12,11 +12,8 @@
 //! deliberately *not* carried: trace figures use the uncached raw-run path.
 
 use crate::fleet::FleetSummary;
-use crate::freqdist::FreqResidency;
 use crate::latency::WakeupLatencies;
-use crate::placement::PlacementCounts;
 use crate::serve::ServeSummary;
-use crate::underload::UnderloadData;
 
 /// Wakeup-latency percentiles of one run (nanoseconds).
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -81,49 +78,13 @@ pub struct RunSummary {
 }
 
 impl RunSummary {
-    /// Builds a summary from the probe outputs of one run. One parameter
-    /// per probe, mirroring `RunResult`'s fields.
-    #[allow(clippy::too_many_arguments)]
-    pub fn collect(
-        time_s: f64,
-        energy_j: f64,
-        underload: &UnderloadData,
-        freq: &FreqResidency,
-        placements: &PlacementCounts,
-        latency: &WakeupLatencies,
-        total_tasks: usize,
-        hit_horizon: bool,
-    ) -> RunSummary {
-        let mut by_path: Vec<(String, u64)> = placements
-            .by_path
-            .iter()
-            .map(|(p, n)| (format!("{p:?}"), *n))
-            .collect();
-        by_path.sort();
-        RunSummary {
-            time_s,
-            energy_j,
-            underload_per_s: underload.underload_per_second(),
-            total_underload: underload.total_underload(),
-            freq_edges_ghz: freq.edges_ghz.clone(),
-            freq_busy_ns: freq.busy_ns.clone(),
-            placements: by_path,
-            distinct_cores: placements.distinct_cores(),
-            latency: LatencySummary::from_latencies(latency),
-            total_tasks,
-            hit_horizon,
-            serve: None,
-            fleet: None,
-        }
-    }
-
     /// Total busy time across all frequency buckets.
     pub fn total_busy_ns(&self) -> u64 {
         self.freq_busy_ns.iter().sum()
     }
 
     /// Fraction of busy time per frequency bucket (sums to 1 when any
-    /// work ran); mirrors [`FreqResidency::fractions`].
+    /// work ran); mirrors [`crate::FreqResidency::fractions`].
     pub fn freq_fractions(&self) -> Vec<f64> {
         let total = self.total_busy_ns();
         if total == 0 {
@@ -141,7 +102,7 @@ impl RunSummary {
     }
 
     /// Renders bucket labels like `(1.0, 1.6]`; mirrors
-    /// [`FreqResidency::labels`].
+    /// [`crate::FreqResidency::labels`].
     pub fn freq_labels(&self) -> Vec<String> {
         let mut lo = 0.0;
         self.freq_edges_ghz

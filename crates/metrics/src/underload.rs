@@ -13,15 +13,9 @@
 //!   (Figure 4): "the average amount of underload occurring within the
 //!   execution of an application over 1 second".
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use nest_simcore::json::{self, Json};
 use nest_simcore::snap::{self, Snap};
 use nest_simcore::{snap_struct, Probe, Time, TraceEvent, SEC, TICK_NS};
-
-/// Registry kind under which [`UnderloadProbe`] snapshots itself.
-pub const UNDERLOAD_PROBE_KIND: &str = "metrics.underload";
 
 /// Per-interval usage snapshot.
 #[derive(Clone, Copy, Debug, Default)]
@@ -44,12 +38,12 @@ snap_struct!(IntervalStat {
     "max_runnable": max_runnable,
 });
 
-/// One fixed-size-window underload tracker.
+/// The cursor of one fixed-size-window underload series; the series
+/// itself lives in [`UnderloadData`].
 struct WindowTracker {
     interval_ns: u64,
     cur_interval: usize,
     used_mark: Vec<Option<usize>>,
-    intervals: Vec<IntervalStat>,
 }
 
 impl WindowTracker {
@@ -58,11 +52,16 @@ impl WindowTracker {
             interval_ns,
             cur_interval: 0,
             used_mark: vec![None; n_cores],
-            intervals: vec![IntervalStat::default()],
         }
     }
 
-    fn roll_to(&mut self, now: Time, busy: &[bool], cur_runnable: u32) {
+    fn roll_to(
+        &mut self,
+        intervals: &mut Vec<IntervalStat>,
+        now: Time,
+        busy: &[bool],
+        cur_runnable: u32,
+    ) {
         let idx = (now.as_nanos() / self.interval_ns) as usize;
         while self.cur_interval < idx {
             self.cur_interval += 1;
@@ -77,42 +76,45 @@ impl WindowTracker {
                     self.used_mark[c] = Some(self.cur_interval);
                 }
             }
-            self.intervals.push(stat);
+            intervals.push(stat);
         }
     }
 
-    fn mark_used(&mut self, core: usize) {
+    fn mark_used(&mut self, intervals: &mut [IntervalStat], core: usize) {
         if self.used_mark[core] != Some(self.cur_interval) {
             self.used_mark[core] = Some(self.cur_interval);
-            self.intervals[self.cur_interval].cores_used += 1;
+            intervals[self.cur_interval].cores_used += 1;
         }
     }
 
-    fn note_runnable(&mut self, count: u32) {
-        let cur = &mut self.intervals[self.cur_interval];
+    fn note_runnable(&self, intervals: &mut [IntervalStat], count: u32) {
+        let cur = &mut intervals[self.cur_interval];
         cur.max_runnable = cur.max_runnable.max(count);
     }
 
-    fn save(&self) -> Json {
+    fn save(&self, intervals: &[IntervalStat]) -> Json {
         json::obj(vec![
             ("cur_interval", self.cur_interval.save()),
             ("used_mark", self.used_mark.save()),
-            ("intervals", self.intervals.save()),
+            (
+                "intervals",
+                Json::Arr(intervals.iter().map(Snap::save).collect()),
+            ),
         ])
     }
 
-    fn load(&mut self, state: &Json) -> Result<(), String> {
+    fn load(&mut self, intervals: &mut Vec<IntervalStat>, state: &Json) -> Result<(), String> {
         self.cur_interval = snap::load(state, "cur_interval")?;
         self.used_mark = snap::load_len(state, "used_mark", self.used_mark.len())?;
-        self.intervals = snap::load(state, "intervals")?;
-        if self.cur_interval >= self.intervals.len() {
+        *intervals = snap::load(state, "intervals")?;
+        if self.cur_interval >= intervals.len() {
             return Err("underload snapshot's current interval is out of range".to_string());
         }
         Ok(())
     }
 }
 
-/// Collected underload data; obtain via [`UnderloadProbe::new`].
+/// Underload data, collected in place by [`UnderloadProbe`].
 #[derive(Debug, Default)]
 pub struct UnderloadData {
     /// One entry per 4 ms tick interval (the Figure 3 timeline).
@@ -153,7 +155,8 @@ impl UnderloadData {
 
 /// Probe computing underload from the trace stream.
 pub struct UnderloadProbe {
-    data: Rc<RefCell<UnderloadData>>,
+    /// The collected underload, complete once the run finishes.
+    pub data: UnderloadData,
     ticks: WindowTracker,
     seconds: WindowTracker,
     busy: Vec<bool>,
@@ -161,43 +164,47 @@ pub struct UnderloadProbe {
 }
 
 impl UnderloadProbe {
-    /// Creates the probe and the shared handle its results land in.
-    pub fn new(n_cores: usize) -> (UnderloadProbe, Rc<RefCell<UnderloadData>>) {
-        let data = Rc::new(RefCell::new(UnderloadData::default()));
-        (
-            UnderloadProbe {
-                data: Rc::clone(&data),
-                ticks: WindowTracker::new(n_cores, TICK_NS),
-                seconds: WindowTracker::new(n_cores, SEC),
-                busy: vec![false; n_cores],
-                cur_runnable: 0,
+    /// Creates the probe for a machine of `n_cores` cores.
+    pub fn new(n_cores: usize) -> UnderloadProbe {
+        UnderloadProbe {
+            data: UnderloadData {
+                intervals: vec![IntervalStat::default()],
+                seconds: vec![IntervalStat::default()],
+                duration: Time::ZERO,
             },
-            data,
-        )
+            ticks: WindowTracker::new(n_cores, TICK_NS),
+            seconds: WindowTracker::new(n_cores, SEC),
+            busy: vec![false; n_cores],
+            cur_runnable: 0,
+        }
     }
 
     fn roll_to(&mut self, now: Time) {
-        self.ticks.roll_to(now, &self.busy, self.cur_runnable);
-        self.seconds.roll_to(now, &self.busy, self.cur_runnable);
+        let d = &mut self.data;
+        self.ticks
+            .roll_to(&mut d.intervals, now, &self.busy, self.cur_runnable);
+        self.seconds
+            .roll_to(&mut d.seconds, now, &self.busy, self.cur_runnable);
     }
 }
 
 impl Probe for UnderloadProbe {
     fn on_event(&mut self, now: Time, event: &TraceEvent) {
         self.roll_to(now);
+        let d = &mut self.data;
         match event {
             TraceEvent::RunStart { core, .. } => {
                 self.busy[core.index()] = true;
-                self.ticks.mark_used(core.index());
-                self.seconds.mark_used(core.index());
+                self.ticks.mark_used(&mut d.intervals, core.index());
+                self.seconds.mark_used(&mut d.seconds, core.index());
             }
             TraceEvent::RunStop { core, .. } => {
                 self.busy[core.index()] = false;
             }
             TraceEvent::RunnableCount { count } => {
                 self.cur_runnable = *count;
-                self.ticks.note_runnable(*count);
-                self.seconds.note_runnable(*count);
+                self.ticks.note_runnable(&mut d.intervals, *count);
+                self.seconds.note_runnable(&mut d.seconds, *count);
             }
             _ => {}
         }
@@ -205,18 +212,15 @@ impl Probe for UnderloadProbe {
 
     fn on_finish(&mut self, now: Time) {
         self.roll_to(now);
-        let mut d = self.data.borrow_mut();
-        d.intervals = std::mem::take(&mut self.ticks.intervals);
-        d.seconds = std::mem::take(&mut self.seconds.intervals);
-        d.duration = now;
+        self.data.duration = now;
     }
 
     fn snap(&self) -> Option<(&'static str, Json)> {
         Some((
-            UNDERLOAD_PROBE_KIND,
+            "metrics.underload",
             json::obj(vec![
-                ("ticks", self.ticks.save()),
-                ("seconds", self.seconds.save()),
+                ("ticks", self.ticks.save(&self.data.intervals)),
+                ("seconds", self.seconds.save(&self.data.seconds)),
                 ("busy", self.busy.save()),
                 ("cur_runnable", self.cur_runnable.save()),
             ]),
@@ -224,8 +228,11 @@ impl Probe for UnderloadProbe {
     }
 
     fn snap_restore(&mut self, state: &Json) -> Result<(), String> {
-        self.ticks.load(snap::field(state, "ticks")?)?;
-        self.seconds.load(snap::field(state, "seconds")?)?;
+        let d = &mut self.data;
+        self.ticks
+            .load(&mut d.intervals, snap::field(state, "ticks")?)?;
+        self.seconds
+            .load(&mut d.seconds, snap::field(state, "seconds")?)?;
         self.busy = snap::load_len(state, "busy", self.busy.len())?;
         self.cur_runnable = snap::load(state, "cur_runnable")?;
         Ok(())
@@ -254,16 +261,16 @@ mod tests {
 
     #[test]
     fn no_activity_no_underload() {
-        let (mut p, d) = UnderloadProbe::new(4);
+        let mut p = UnderloadProbe::new(4);
         p.on_finish(Time::from_millis(40));
-        assert_eq!(d.borrow().total_underload(), 0);
-        assert_eq!(d.borrow().intervals.len(), 11);
-        assert_eq!(d.borrow().underload_per_second(), 0.0);
+        assert_eq!(p.data.total_underload(), 0);
+        assert_eq!(p.data.intervals.len(), 11);
+        assert_eq!(p.data.underload_per_second(), 0.0);
     }
 
     #[test]
     fn serial_task_bouncing_cores_creates_underload() {
-        let (mut p, d) = UnderloadProbe::new(8);
+        let mut p = UnderloadProbe::new(8);
         // One runnable task hopping over 3 cores within one tick:
         // 3 used - 1 runnable = 2 underload in the tick timeline.
         p.on_event(Time::ZERO, &TraceEvent::RunnableCount { count: 1 });
@@ -273,16 +280,16 @@ mod tests {
             p.on_event(t + 500_000, &run_stop(*c));
         }
         p.on_finish(Time::from_nanos(TICK_NS));
-        assert_eq!(d.borrow().total_underload(), 2);
+        assert_eq!(p.data.total_underload(), 2);
         // The same 2 underload lands in the single 1-second window.
-        let dref = d.borrow();
+        let dref = &p.data;
         assert_eq!(dref.seconds.len(), 1);
         assert_eq!(dref.seconds[0].underload(), 2);
     }
 
     #[test]
     fn per_second_windows_aggregate_tick_bounces() {
-        let (mut p, d) = UnderloadProbe::new(16);
+        let mut p = UnderloadProbe::new(16);
         p.on_event(Time::ZERO, &TraceEvent::RunnableCount { count: 1 });
         // The task visits one *new* core every 100 ms: tick intervals see
         // single-core usage (0 underload each), but the second window
@@ -293,14 +300,14 @@ mod tests {
             p.on_event(t + 50_000_000, &run_stop(i as u32));
         }
         p.on_finish(Time::from_secs(1));
-        let dref = d.borrow();
+        let dref = &p.data;
         assert_eq!(dref.total_underload(), 0, "ticks see no bounce");
         assert!((dref.underload_per_second() - 9.0).abs() < 1e-9);
     }
 
     #[test]
     fn reuse_of_one_core_has_zero_underload() {
-        let (mut p, d) = UnderloadProbe::new(8);
+        let mut p = UnderloadProbe::new(8);
         p.on_event(Time::ZERO, &TraceEvent::RunnableCount { count: 1 });
         for i in 0..3u64 {
             let t = Time::from_nanos(i * 1_000_000);
@@ -308,30 +315,30 @@ mod tests {
             p.on_event(t + 500_000, &run_stop(0));
         }
         p.on_finish(Time::from_nanos(TICK_NS));
-        assert_eq!(d.borrow().total_underload(), 0);
-        assert_eq!(d.borrow().underload_per_second(), 0.0);
+        assert_eq!(p.data.total_underload(), 0);
+        assert_eq!(p.data.underload_per_second(), 0.0);
     }
 
     #[test]
     fn parallel_tasks_are_not_underload() {
-        let (mut p, d) = UnderloadProbe::new(8);
+        let mut p = UnderloadProbe::new(8);
         p.on_event(Time::ZERO, &TraceEvent::RunnableCount { count: 4 });
         for c in 0..4u32 {
             p.on_event(Time::from_nanos(c as u64 * 1000), &run_start(c));
         }
         p.on_finish(Time::from_nanos(TICK_NS));
-        assert_eq!(d.borrow().total_underload(), 0);
-        assert_eq!(d.borrow().underload_per_second(), 0.0);
+        assert_eq!(p.data.total_underload(), 0);
+        assert_eq!(p.data.underload_per_second(), 0.0);
     }
 
     #[test]
     fn busy_core_spans_interval_boundary() {
-        let (mut p, d) = UnderloadProbe::new(8);
+        let mut p = UnderloadProbe::new(8);
         p.on_event(Time::ZERO, &TraceEvent::RunnableCount { count: 1 });
         p.on_event(Time::ZERO, &run_start(0));
         p.on_event(Time::from_nanos(TICK_NS + 1000), &run_start(1));
         p.on_finish(Time::from_nanos(2 * TICK_NS));
-        let d = d.borrow();
+        let d = &p.data;
         assert_eq!(d.intervals[0].underload(), 0);
         assert_eq!(d.intervals[1].cores_used, 2);
         assert_eq!(d.intervals[1].underload(), 1);
@@ -339,7 +346,7 @@ mod tests {
 
     #[test]
     fn underload_per_second_normalizes_by_duration() {
-        let (mut p, d) = UnderloadProbe::new(8);
+        let mut p = UnderloadProbe::new(8);
         p.on_event(Time::ZERO, &TraceEvent::RunnableCount { count: 1 });
         p.on_event(Time::ZERO, &run_start(0));
         p.on_event(Time::from_nanos(1000), &run_stop(0));
@@ -347,6 +354,6 @@ mod tests {
         p.on_event(Time::from_nanos(3000), &run_stop(1));
         p.on_finish(Time::from_secs(2));
         // 1 underload (in the first second window) over 2 seconds.
-        assert!((d.borrow().underload_per_second() - 0.5).abs() < 1e-9);
+        assert!((p.data.underload_per_second() - 0.5).abs() < 1e-9);
     }
 }

@@ -1,8 +1,6 @@
 //! Bounded trace capture with class and window filters.
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::rc::Rc;
 
 use nest_simcore::{Probe, Time, TraceEvent};
 
@@ -83,8 +81,8 @@ impl EventClass {
     }
 }
 
-/// The captured slice of a run's trace, filled in by [`TraceCollector`]
-/// when the simulation finishes.
+/// The captured slice of a run's trace, collected by [`TraceCollector`];
+/// its events are settled when the simulation finishes.
 #[derive(Default)]
 pub struct TraceLog {
     /// Captured `(time, event)` pairs, in emission order.
@@ -103,31 +101,27 @@ pub struct TraceLog {
 /// counted in [`TraceLog::dropped`]), so the log always holds the most
 /// recent slice. The window is half-open, `lo <= t < hi`.
 pub struct TraceCollector {
-    out: Rc<RefCell<TraceLog>>,
+    /// The captured log; complete once the run finishes.
+    pub log: TraceLog,
     buf: VecDeque<(Time, TraceEvent)>,
     capacity: usize,
     window: Option<(Time, Time)>,
     class_mask: u32,
-    dropped: u64,
 }
 
 impl TraceCollector {
     /// The default ring capacity, in events.
     pub const DEFAULT_CAPACITY: usize = 1 << 20;
 
-    /// Creates a collector keeping at most `capacity` events. The handle
-    /// receives the captured [`TraceLog`] after the run finishes.
-    pub fn new(capacity: usize) -> (TraceCollector, Rc<RefCell<TraceLog>>) {
-        let out = Rc::new(RefCell::new(TraceLog::default()));
-        let collector = TraceCollector {
-            out: Rc::clone(&out),
+    /// Creates a collector keeping at most `capacity` events.
+    pub fn new(capacity: usize) -> TraceCollector {
+        TraceCollector {
+            log: TraceLog::default(),
             buf: VecDeque::new(),
             capacity: capacity.max(1),
             window: None,
             class_mask: u32::MAX,
-            dropped: 0,
-        };
-        (collector, out)
+        }
     }
 
     /// Restricts capture to events with `lo <= t < hi`.
@@ -155,16 +149,14 @@ impl Probe for TraceCollector {
         }
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
-            self.dropped += 1;
+            self.log.dropped += 1;
         }
         self.buf.push_back((now, event.clone()));
     }
 
     fn on_finish(&mut self, now: Time) {
-        let mut log = self.out.borrow_mut();
-        log.events = std::mem::take(&mut self.buf).into();
-        log.dropped = self.dropped;
-        log.duration = now;
+        self.log.events = std::mem::take(&mut self.buf).into();
+        self.log.duration = now;
     }
 }
 
@@ -186,9 +178,9 @@ mod tests {
 
     #[test]
     fn ring_keeps_most_recent_and_counts_drops() {
-        let (mut c, log) = TraceCollector::new(2);
+        let mut c = TraceCollector::new(2);
         feed(&mut c, &[woken(1), woken(2), woken(3)], 10);
-        let log = log.borrow();
+        let log = &c.log;
         assert_eq!(log.dropped, 1);
         assert_eq!(log.duration, Time::from_nanos(10));
         let times: Vec<u64> = log.events.iter().map(|(t, _)| t.as_nanos()).collect();
@@ -197,29 +189,22 @@ mod tests {
 
     #[test]
     fn window_filter_is_half_open() {
-        let (c, log) = TraceCollector::new(16);
-        let mut c = c.with_window(Time::from_nanos(2), Time::from_nanos(4));
+        let mut c = TraceCollector::new(16).with_window(Time::from_nanos(2), Time::from_nanos(4));
         feed(&mut c, &[woken(1), woken(2), woken(3), woken(4)], 10);
-        let times: Vec<u64> = log
-            .borrow()
-            .events
-            .iter()
-            .map(|(t, _)| t.as_nanos())
-            .collect();
+        let times: Vec<u64> = c.log.events.iter().map(|(t, _)| t.as_nanos()).collect();
         assert_eq!(times, vec![2, 3], "window is [lo, hi)");
     }
 
     #[test]
     fn class_filter_selects_classes() {
-        let (c, log) = TraceCollector::new(16);
-        let mut c = c.with_classes(&[EventClass::Spin]);
+        let mut c = TraceCollector::new(16).with_classes(&[EventClass::Spin]);
         c.on_event(Time::from_nanos(1), &TraceEvent::Woken { task: TaskId(1) });
         c.on_event(
             Time::from_nanos(2),
             &TraceEvent::SpinStart { core: CoreId(0) },
         );
         c.on_finish(Time::from_nanos(3));
-        let log = log.borrow();
+        let log = &c.log;
         assert_eq!(log.events.len(), 1);
         assert_eq!(log.events[0].1, TraceEvent::SpinStart { core: CoreId(0) });
     }

@@ -9,16 +9,11 @@
 //! metrics merge associatively; the harness folds them in slot order and
 //! writes the aggregate into every `.telemetry.json` sidecar.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
 
 use nest_simcore::json::{obj, Json};
 use nest_simcore::snap::{self, Snap};
 use nest_simcore::{CoreId, PlacementPath, Probe, TaskId, Time, TraceEvent};
-
-/// Registry kind under which [`DecisionMetricsProbe`] snapshots itself.
-pub const DECISION_METRICS_PROBE_KIND: &str = "obs.decision_metrics";
 
 /// Upper edges (ns) of the log-scale wakeup→run latency buckets: powers
 /// of two from 2^10 ns (≈1 µs) to 2^26 ns (≈67 ms). Bucket `i` counts
@@ -317,17 +312,18 @@ impl DecisionMetrics {
 
 /// A probe computing [`DecisionMetrics`] over one run.
 pub struct DecisionMetricsProbe {
-    out: Rc<RefCell<DecisionMetrics>>,
-    m: DecisionMetrics,
+    /// The run's metrics; `runs` and `sim_ns` are stamped when the run
+    /// finishes.
+    pub metrics: DecisionMetrics,
     woken_at: HashMap<TaskId, Time>,
     last_core: HashMap<TaskId, CoreId>,
     spin_since: Vec<Option<Time>>,
     cur_primary: u32,
     cur_reserve: u32,
     last_nest_change: Time,
-    /// CCX index of each core; all zeros when the probe has no topology.
+    /// CCX index of each core.
     ccx_of: Vec<u32>,
-    /// Socket index of each core; all zeros when the probe has no topology.
+    /// Socket index of each core.
     socket_of: Vec<u32>,
     /// Which cores currently sit in the primary nest.
     nest_member: Vec<bool>,
@@ -336,21 +332,10 @@ pub struct DecisionMetricsProbe {
 }
 
 impl DecisionMetricsProbe {
-    /// Creates a probe for a machine with `n_cores` cores. The handle
-    /// receives the metrics after the run finishes. The whole machine is
-    /// treated as a single domain; use [`DecisionMetricsProbe::with_domains`]
-    /// to classify migrations and occupancy by CCX and socket.
-    pub fn new(n_cores: usize) -> (DecisionMetricsProbe, Rc<RefCell<DecisionMetrics>>) {
-        Self::with_domains(vec![0; n_cores], vec![0; n_cores])
-    }
-
     /// Creates a probe that attributes migrations and nest occupancy to
     /// scheduling domains. `ccx_of[c]` / `socket_of[c]` give core `c`'s CCX
     /// and socket index; both slices have one entry per core.
-    pub fn with_domains(
-        ccx_of: Vec<u32>,
-        socket_of: Vec<u32>,
-    ) -> (DecisionMetricsProbe, Rc<RefCell<DecisionMetrics>>) {
+    pub fn new(ccx_of: Vec<u32>, socket_of: Vec<u32>) -> DecisionMetricsProbe {
         assert_eq!(
             ccx_of.len(),
             socket_of.len(),
@@ -358,10 +343,8 @@ impl DecisionMetricsProbe {
         );
         let n_cores = ccx_of.len();
         let n_ccx = ccx_of.iter().map(|&cx| cx as usize + 1).max().unwrap_or(1);
-        let out = Rc::new(RefCell::new(DecisionMetrics::default()));
-        let probe = DecisionMetricsProbe {
-            out: Rc::clone(&out),
-            m: DecisionMetrics {
+        DecisionMetricsProbe {
+            metrics: DecisionMetrics {
                 latency_counts: vec![0; LATENCY_BUCKET_EDGES_NS.len() + 1],
                 placements: vec![0; PlacementPath::ALL.len()],
                 spin_ns: vec![0; n_cores],
@@ -378,17 +361,16 @@ impl DecisionMetricsProbe {
             socket_of,
             nest_member: vec![false; n_cores],
             cur_ccx_primary: vec![0; n_ccx],
-        };
-        (probe, out)
+        }
     }
 
     /// Accumulates the nest-size integrals up to `now`.
     fn advance_nest(&mut self, now: Time) {
         let dt = now.saturating_since(self.last_nest_change);
-        self.m.nest_primary_ns += self.cur_primary as u64 * dt;
-        self.m.nest_reserve_ns += self.cur_reserve as u64 * dt;
+        self.metrics.nest_primary_ns += self.cur_primary as u64 * dt;
+        self.metrics.nest_reserve_ns += self.cur_reserve as u64 * dt;
         for (acc, &members) in self
-            .m
+            .metrics
             .nest_ccx_primary_ns
             .iter_mut()
             .zip(&self.cur_ccx_primary)
@@ -421,15 +403,15 @@ impl DecisionMetricsProbe {
         self.advance_nest(now);
         self.cur_primary = primary;
         self.cur_reserve = reserve;
-        self.m.nest_primary_max = self.m.nest_primary_max.max(primary);
-        self.m.nest_reserve_max = self.m.nest_reserve_max.max(reserve);
-        self.m.nest_transitions += 1;
-        if self.m.occupancy_timeline.len() < TIMELINE_CAP {
-            self.m
+        self.metrics.nest_primary_max = self.metrics.nest_primary_max.max(primary);
+        self.metrics.nest_reserve_max = self.metrics.nest_reserve_max.max(reserve);
+        self.metrics.nest_transitions += 1;
+        if self.metrics.occupancy_timeline.len() < TIMELINE_CAP {
+            self.metrics
                 .occupancy_timeline
                 .push((now.as_nanos(), primary, reserve));
         } else {
-            self.m.timeline_truncated = true;
+            self.metrics.timeline_truncated = true;
         }
     }
 }
@@ -441,24 +423,24 @@ impl Probe for DecisionMetricsProbe {
                 self.woken_at.insert(*task, now);
             }
             TraceEvent::Placed { path, .. } => {
-                self.m.placements[path.index()] += 1;
+                self.metrics.placements[path.index()] += 1;
             }
             TraceEvent::RunStart { task, core } => {
                 if let Some(woken) = self.woken_at.remove(task) {
                     let ns = now.saturating_since(woken);
-                    self.m.latency_counts[DecisionMetrics::latency_bucket(ns)] += 1;
-                    self.m.latency_samples += 1;
-                    self.m.latency_sum_ns += ns;
+                    self.metrics.latency_counts[DecisionMetrics::latency_bucket(ns)] += 1;
+                    self.metrics.latency_samples += 1;
+                    self.metrics.latency_sum_ns += ns;
                 }
                 if let Some(prev) = self.last_core.insert(*task, *core) {
                     if prev != *core {
-                        self.m.migrations += 1;
+                        self.metrics.migrations += 1;
                         let (p, c) = (prev.index(), core.index());
                         if self.ccx_of.get(p) != self.ccx_of.get(c) {
-                            self.m.cross_ccx_migrations += 1;
+                            self.metrics.cross_ccx_migrations += 1;
                         }
                         if self.socket_of.get(p) != self.socket_of.get(c) {
-                            self.m.cross_socket_migrations += 1;
+                            self.metrics.cross_socket_migrations += 1;
                         }
                     }
                 }
@@ -470,7 +452,7 @@ impl Probe for DecisionMetricsProbe {
             }
             TraceEvent::SpinEnd { core } => {
                 if let Some(since) = self.spin_since.get_mut(core.index()).and_then(Option::take) {
-                    self.m.spin_ns[core.index()] += now.saturating_since(since);
+                    self.metrics.spin_ns[core.index()] += now.saturating_since(since);
                 }
             }
             TraceEvent::NestExpand {
@@ -496,7 +478,7 @@ impl Probe for DecisionMetricsProbe {
             } => {
                 self.on_nest_sizes(now, *primary, *reserve);
                 self.set_nest_member(*core, false);
-                self.m.nest_compactions += 1;
+                self.metrics.nest_compactions += 1;
             }
             _ => {}
         }
@@ -505,40 +487,37 @@ impl Probe for DecisionMetricsProbe {
     fn on_finish(&mut self, now: Time) {
         for i in 0..self.spin_since.len() {
             if let Some(since) = self.spin_since[i].take() {
-                self.m.spin_ns[i] += now.saturating_since(since);
+                self.metrics.spin_ns[i] += now.saturating_since(since);
             }
         }
         self.advance_nest(now);
-        self.m.sim_ns = now.as_nanos();
-        self.m.runs = 1;
-        *self.out.borrow_mut() = std::mem::take(&mut self.m);
+        self.metrics.sim_ns = now.as_nanos();
+        self.metrics.runs = 1;
     }
 
     fn snap(&self) -> Option<(&'static str, Json)> {
+        let m = &self.metrics;
         Some((
-            DECISION_METRICS_PROBE_KIND,
+            "obs.decision_metrics",
             obj(vec![
-                ("latency_counts", self.m.latency_counts.save()),
-                ("latency_samples", self.m.latency_samples.save()),
-                ("latency_sum_ns", self.m.latency_sum_ns.save()),
-                ("placements", self.m.placements.save()),
-                ("migrations", self.m.migrations.save()),
-                ("cross_ccx_migrations", self.m.cross_ccx_migrations.save()),
-                (
-                    "cross_socket_migrations",
-                    self.m.cross_socket_migrations.save(),
-                ),
-                ("spin_ns", self.m.spin_ns.save()),
-                ("nest_ccx_primary_ns", self.m.nest_ccx_primary_ns.save()),
+                ("latency_counts", m.latency_counts.save()),
+                ("latency_samples", m.latency_samples.save()),
+                ("latency_sum_ns", m.latency_sum_ns.save()),
+                ("placements", m.placements.save()),
+                ("migrations", m.migrations.save()),
+                ("cross_ccx_migrations", m.cross_ccx_migrations.save()),
+                ("cross_socket_migrations", m.cross_socket_migrations.save()),
+                ("spin_ns", m.spin_ns.save()),
+                ("nest_ccx_primary_ns", m.nest_ccx_primary_ns.save()),
                 ("nest_member", self.nest_member.save()),
-                ("nest_primary_ns", self.m.nest_primary_ns.save()),
-                ("nest_reserve_ns", self.m.nest_reserve_ns.save()),
-                ("nest_primary_max", self.m.nest_primary_max.save()),
-                ("nest_reserve_max", self.m.nest_reserve_max.save()),
-                ("nest_transitions", self.m.nest_transitions.save()),
-                ("nest_compactions", self.m.nest_compactions.save()),
-                ("occupancy_timeline", self.m.occupancy_timeline.save()),
-                ("timeline_truncated", self.m.timeline_truncated.save()),
+                ("nest_primary_ns", m.nest_primary_ns.save()),
+                ("nest_reserve_ns", m.nest_reserve_ns.save()),
+                ("nest_primary_max", m.nest_primary_max.save()),
+                ("nest_reserve_max", m.nest_reserve_max.save()),
+                ("nest_transitions", m.nest_transitions.save()),
+                ("nest_compactions", m.nest_compactions.save()),
+                ("occupancy_timeline", m.occupancy_timeline.save()),
+                ("timeline_truncated", m.timeline_truncated.save()),
                 ("woken_at", self.woken_at.save()),
                 ("last_core", self.last_core.save()),
                 ("spin_since", self.spin_since.save()),
@@ -551,7 +530,7 @@ impl Probe for DecisionMetricsProbe {
 
     fn snap_restore(&mut self, state: &Json) -> Result<(), String> {
         let n_cores = self.spin_since.len();
-        let m = &mut self.m;
+        let m = &mut self.metrics;
         m.latency_counts = snap::load_len(state, "latency_counts", m.latency_counts.len())?;
         m.latency_samples = snap::load(state, "latency_samples")?;
         m.latency_sum_ns = snap::load(state, "latency_sum_ns")?;
@@ -596,8 +575,9 @@ impl Probe for DecisionMetricsProbe {
 mod tests {
     use super::*;
 
-    fn probe() -> (DecisionMetricsProbe, Rc<RefCell<DecisionMetrics>>) {
-        DecisionMetricsProbe::new(4)
+    /// A probe for a 4-core machine that is one CCX on one socket.
+    fn probe() -> DecisionMetricsProbe {
+        DecisionMetricsProbe::new(vec![0; 4], vec![0; 4])
     }
 
     #[test]
@@ -614,7 +594,7 @@ mod tests {
 
     #[test]
     fn wakeup_to_run_latency_and_migrations() {
-        let (mut p, out) = probe();
+        let mut p = probe();
         let t = Time::from_nanos;
         p.on_event(t(100), &TraceEvent::Woken { task: TaskId(1) });
         p.on_event(
@@ -641,7 +621,7 @@ mod tests {
             },
         );
         p.on_finish(t(10_000));
-        let m = out.borrow();
+        let m = &p.metrics;
         assert_eq!(m.latency_samples, 1);
         assert_eq!(m.latency_sum_ns, 2000);
         assert_eq!(m.latency_counts[DecisionMetrics::latency_bucket(2000)], 1);
@@ -653,13 +633,13 @@ mod tests {
 
     #[test]
     fn spin_time_closes_open_spans_at_finish() {
-        let (mut p, out) = probe();
+        let mut p = probe();
         let t = Time::from_nanos;
         p.on_event(t(100), &TraceEvent::SpinStart { core: CoreId(1) });
         p.on_event(t(400), &TraceEvent::SpinEnd { core: CoreId(1) });
         p.on_event(t(900), &TraceEvent::SpinStart { core: CoreId(2) });
         p.on_finish(t(1000));
-        let m = out.borrow();
+        let m = &p.metrics;
         assert_eq!(m.spin_ns, vec![0, 300, 100, 0]);
         assert_eq!(m.spin_total_ns(), 400);
         assert_eq!(m.spin_duty_cycle(), Some(0.1));
@@ -667,7 +647,7 @@ mod tests {
 
     #[test]
     fn nest_occupancy_is_time_weighted() {
-        let (mut p, out) = probe();
+        let mut p = probe();
         let t = Time::from_nanos;
         p.on_event(
             t(200),
@@ -686,7 +666,7 @@ mod tests {
             },
         );
         p.on_finish(t(1000));
-        let m = out.borrow();
+        let m = &p.metrics;
         // 0 until 200, 2 over [200,700), 1 over [700,1000).
         assert_eq!(m.nest_primary_ns, 2 * 500 + 300);
         assert_eq!(m.nest_reserve_ns, 500 + 2 * 300);
@@ -703,7 +683,7 @@ mod tests {
         // {6,7}; sockets {0..4}, {4..8}.
         let ccx_of = vec![0, 0, 1, 1, 2, 2, 3, 3];
         let socket_of = vec![0, 0, 0, 0, 1, 1, 1, 1];
-        let (mut p, out) = DecisionMetricsProbe::with_domains(ccx_of, socket_of);
+        let mut p = DecisionMetricsProbe::new(ccx_of, socket_of);
         let t = Time::from_nanos;
         let run = |core| TraceEvent::RunStart {
             task: TaskId(1),
@@ -740,7 +720,7 @@ mod tests {
             },
         );
         p.on_finish(t(1000));
-        let m = out.borrow();
+        let m = &p.metrics;
         assert_eq!(m.migrations, 3);
         assert_eq!(m.cross_ccx_migrations, 2);
         assert_eq!(m.cross_socket_migrations, 1);
@@ -752,7 +732,7 @@ mod tests {
 
     #[test]
     fn single_domain_probe_reports_no_cross_domain_migrations() {
-        let (mut p, out) = probe();
+        let mut p = probe();
         let t = Time::from_nanos;
         for (at, core) in [(0, 0), (100, 3), (200, 1)] {
             p.on_event(
@@ -764,7 +744,7 @@ mod tests {
             );
         }
         p.on_finish(t(1000));
-        let m = out.borrow();
+        let m = &p.metrics;
         assert_eq!(m.migrations, 2);
         assert_eq!(m.cross_ccx_migrations, 0);
         assert_eq!(m.cross_socket_migrations, 0);
@@ -772,8 +752,7 @@ mod tests {
 
     #[test]
     fn merge_is_order_independent_sums() {
-        let (mut p1, out1) = probe();
-        let (mut p2, out2) = probe();
+        let (mut p1, mut p2) = (probe(), probe());
         let t = Time::from_nanos;
         for (p, task) in [(&mut p1, TaskId(1)), (&mut p2, TaskId(2))] {
             p.on_event(t(0), &TraceEvent::Woken { task });
@@ -786,7 +765,7 @@ mod tests {
             );
             p.on_finish(t(1000));
         }
-        let (a, b) = (out1.borrow(), out2.borrow());
+        let (a, b) = (p1.metrics, p2.metrics);
         let mut ab = a.clone();
         ab.merge(&b);
         let mut ba = b.clone();
@@ -814,9 +793,9 @@ mod tests {
 
     #[test]
     fn json_block_has_the_documented_fields() {
-        let (mut p, out) = probe();
+        let mut p = probe();
         p.on_finish(Time::from_nanos(10));
-        let json = out.borrow().to_json();
+        let json = p.metrics.to_json();
         for key in [
             "runs",
             "sim_ns",

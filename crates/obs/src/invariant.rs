@@ -23,20 +23,15 @@
 //! Two modes: **fail-fast** panics on the first violation (for tests:
 //! the panic message names the rule, the event, and the simulation
 //! time), while the default **counting** mode tallies violations per
-//! rule into a shared [`InvariantCounts`] that the harness merges into
+//! rule into its [`InvariantCounts`], which the harness merges into
 //! `.telemetry.json`. Like every probe, the checker only observes —
 //! attaching it cannot perturb a run.
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::rc::Rc;
 
 use nest_simcore::json::{obj, Json};
 use nest_simcore::snap::{self, Snap};
 use nest_simcore::{Probe, TaskId, Time, TraceEvent};
-
-/// Registry kind under which [`InvariantChecker`] snapshots itself.
-pub const INVARIANT_CHECKER_KIND: &str = "obs.invariants";
 
 /// Every rule name the checker can tally. Restore maps snapshot strings
 /// back to these `&'static str`s (the [`InvariantCounts::by_rule`] keys),
@@ -144,25 +139,17 @@ pub struct InvariantChecker {
     placed_pending: HashSet<TaskId>,
     created: u64,
     exited: u64,
-    counts: Rc<RefCell<InvariantCounts>>,
+    /// The tallies, live as the run progresses and final once the engine
+    /// calls `on_finish`.
+    pub counts: InvariantCounts,
 }
 
 impl InvariantChecker {
     /// A counting-mode checker for a machine of `n_cores` whose valid
     /// frequency envelope is `[freq_lo_khz, freq_hi_khz]` (pass `fmin`
-    /// and the single-core turbo limit `fmax`). Returns the checker and
-    /// a shared handle to its tallies, live as the run progresses and
-    /// final after the engine calls `on_finish`.
-    pub fn new(
-        n_cores: usize,
-        freq_lo_khz: u64,
-        freq_hi_khz: u64,
-    ) -> (InvariantChecker, Rc<RefCell<InvariantCounts>>) {
-        let counts = Rc::new(RefCell::new(InvariantCounts {
-            completed: false,
-            ..InvariantCounts::default()
-        }));
-        let checker = InvariantChecker {
+    /// and the single-core turbo limit `fmax`).
+    pub fn new(n_cores: usize, freq_lo_khz: u64, freq_hi_khz: u64) -> InvariantChecker {
+        InvariantChecker {
             fail_fast: false,
             lo_khz: freq_lo_khz,
             hi_khz: freq_hi_khz,
@@ -175,9 +162,8 @@ impl InvariantChecker {
             placed_pending: HashSet::new(),
             created: 0,
             exited: 0,
-            counts: Rc::clone(&counts),
-        };
-        (checker, counts)
+            counts: InvariantCounts::default(),
+        }
     }
 
     /// Switches the checker to fail-fast mode: the first violation
@@ -193,9 +179,8 @@ impl InvariantChecker {
         if self.fail_fast {
             panic!("invariant violation [{rule}] at {now}: {detail}");
         }
-        let mut c = self.counts.borrow_mut();
-        c.violations += 1;
-        *c.by_rule.entry(rule).or_insert(0) += 1;
+        self.counts.violations += 1;
+        *self.counts.by_rule.entry(rule).or_insert(0) += 1;
     }
 
     fn check_online(&mut self, now: Time, core: u32, rule: &'static str, what: &str) {
@@ -210,7 +195,7 @@ impl InvariantChecker {
 
 impl Probe for InvariantChecker {
     fn on_event(&mut self, now: Time, event: &TraceEvent) {
-        self.counts.borrow_mut().events_checked += 1;
+        self.counts.events_checked += 1;
         match *event {
             TraceEvent::TaskCreated { .. } => self.created += 1,
             TraceEvent::TaskExited { task } => {
@@ -422,21 +407,21 @@ impl Probe for InvariantChecker {
     }
 
     fn on_finish(&mut self, _now: Time) {
-        let mut c = self.counts.borrow_mut();
+        let c = &mut self.counts;
         c.woken_unplaced_at_finish = self.woken_pending.len() as u64;
         c.placed_unstarted_at_finish = self.placed_pending.len() as u64;
         c.completed = self.created > 0 && self.created == self.exited;
     }
 
     fn snap(&self) -> Option<(&'static str, Json)> {
-        let c = self.counts.borrow();
+        let c = &self.counts;
         let by_rule: Vec<(String, u64)> = c
             .by_rule
             .iter()
             .map(|(rule, &n)| (rule.to_string(), n))
             .collect();
         Some((
-            INVARIANT_CHECKER_KIND,
+            "obs.invariants",
             obj(vec![
                 ("online", self.online.save()),
                 ("spinning", self.spinning.save()),
@@ -464,7 +449,7 @@ impl Probe for InvariantChecker {
         self.placed_pending = snap::load(state, "placed_pending")?;
         self.created = snap::load(state, "created")?;
         self.exited = snap::load(state, "exited")?;
-        let mut c = self.counts.borrow_mut();
+        let c = &mut self.counts;
         c.events_checked = snap::load(state, "events_checked")?;
         c.violations = snap::load(state, "violations")?;
         c.by_rule.clear();
@@ -489,13 +474,12 @@ mod tests {
     }
 
     fn feed(events: &[(u64, TraceEvent)]) -> InvariantCounts {
-        let (mut checker, counts) = InvariantChecker::new(4, 1_000_000, 3_900_000);
+        let mut checker = InvariantChecker::new(4, 1_000_000, 3_900_000);
         for (ns, ev) in events {
             checker.on_event(t(*ns), ev);
         }
         checker.on_finish(t(events.last().map(|(ns, _)| *ns).unwrap_or(0)));
-        let out = counts.borrow().clone();
-        out
+        checker.counts
     }
 
     fn lifecycle(task: u32, core: u32) -> Vec<(u64, TraceEvent)> {
@@ -726,8 +710,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "invariant violation [double-occupancy]")]
     fn fail_fast_panics_with_rule_name() {
-        let (checker, _counts) = InvariantChecker::new(4, 1_000_000, 3_900_000);
-        let mut checker = checker.fail_fast();
+        let mut checker = InvariantChecker::new(4, 1_000_000, 3_900_000).fail_fast();
         checker.on_event(
             t(0),
             &TraceEvent::RunStart {

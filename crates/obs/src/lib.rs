@@ -39,11 +39,6 @@ pub mod timeseries;
 
 pub use chrome::{chrome_trace_json, chrome_trace_with_timeseries, timeseries_counters};
 pub use collector::{EventClass, TraceCollector, TraceLog};
-pub use decision::{
-    DecisionMetrics, DecisionMetricsProbe, DECISION_METRICS_PROBE_KIND, LATENCY_BUCKET_EDGES_NS,
-    TIMELINE_CAP,
-};
-pub use invariant::{InvariantChecker, InvariantCounts, INVARIANT_CHECKER_KIND};
-pub use timeseries::{
-    TimeSeries, TimeSeriesSampler, DEFAULT_SAMPLE_INTERVAL_NS, SAMPLE_CAP, TIMESERIES_PROBE_KIND,
-};
+pub use decision::{DecisionMetrics, DecisionMetricsProbe, LATENCY_BUCKET_EDGES_NS, TIMELINE_CAP};
+pub use invariant::{InvariantChecker, InvariantCounts};
+pub use timeseries::{TimeSeries, TimeSeriesSampler, DEFAULT_SAMPLE_INTERVAL_NS, SAMPLE_CAP};

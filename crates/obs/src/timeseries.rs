@@ -20,17 +20,11 @@
 //! arbitrarily long runs produce a fixed-size telemetry block that still
 //! spans the whole run.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use nest_freq::{instant_power_w, Activity};
 use nest_simcore::json::{obj, Json};
 use nest_simcore::snap::{self, Snap};
 use nest_simcore::{Freq, Probe, Time, TraceEvent};
 use nest_topology::MachineSpec;
-
-/// Registry kind under which [`TimeSeriesSampler`] snapshots itself.
-pub const TIMESERIES_PROBE_KIND: &str = "obs.timeseries";
 
 /// Maximum samples kept; reaching it halves the resolution.
 pub const SAMPLE_CAP: usize = 256;
@@ -108,8 +102,9 @@ impl TimeSeries {
 
 /// A probe sampling machine state on a simulated-time grid.
 pub struct TimeSeriesSampler {
-    out: Rc<RefCell<TimeSeries>>,
-    s: TimeSeries,
+    /// The sampled series; its closing sample is taken when the run
+    /// finishes.
+    pub series: TimeSeries,
     spec: MachineSpec,
     /// Socket index of each logical core.
     socket_of: Vec<u32>,
@@ -133,13 +128,8 @@ pub struct TimeSeriesSampler {
 
 impl TimeSeriesSampler {
     /// Creates a sampler for `spec` with the per-core CCX and socket
-    /// tables (as computed by the topology). The handle receives the
-    /// series after the run finishes.
-    pub fn new(
-        spec: &MachineSpec,
-        ccx_of: Vec<u32>,
-        socket_of: Vec<u32>,
-    ) -> (TimeSeriesSampler, Rc<RefCell<TimeSeries>>) {
+    /// tables (as computed by the topology).
+    pub fn new(spec: &MachineSpec, ccx_of: Vec<u32>, socket_of: Vec<u32>) -> TimeSeriesSampler {
         let n_cores = spec.n_cores();
         assert_eq!(ccx_of.len(), n_cores, "ccx table must cover every core");
         assert_eq!(
@@ -162,10 +152,8 @@ impl TimeSeriesSampler {
         };
         let socket_cores = domain_sizes(&socket_of);
         let ccx_cores = domain_sizes(&ccx_of);
-        let out = Rc::new(RefCell::new(TimeSeries::default()));
-        let probe = TimeSeriesSampler {
-            out: Rc::clone(&out),
-            s: TimeSeries {
+        TimeSeriesSampler {
+            series: TimeSeries {
                 interval_ns: DEFAULT_SAMPLE_INTERVAL_NS,
                 socket_util: vec![Vec::new(); socket_cores.len()],
                 ccx_util: vec![Vec::new(); ccx_cores.len()],
@@ -184,14 +172,13 @@ impl TimeSeriesSampler {
             nest_primary: 0,
             nest_reserve: 0,
             next_at: DEFAULT_SAMPLE_INTERVAL_NS,
-        };
-        (probe, out)
+        }
     }
 
     /// Records one sample of the mirrored state, stamped `t_ns`.
     fn sample(&mut self, t_ns: u64) {
-        self.s.t_ns.push(t_ns);
-        self.s.power_w.push(instant_power_w(
+        self.series.t_ns.push(t_ns);
+        self.series.power_w.push(instant_power_w(
             &self.spec,
             |t| {
                 if self.busy[t] {
@@ -205,12 +192,12 @@ impl TimeSeriesSampler {
             |phys| self.phys_freq[phys],
         ));
         let khz_sum: u64 = self.phys_freq.iter().map(|f| f.as_khz()).sum();
-        self.s
+        self.series
             .mean_freq_khz
             .push(khz_sum / self.phys_freq.len() as u64);
-        self.s.runnable.push(self.runnable);
-        self.s.nest_primary.push(self.nest_primary);
-        self.s.nest_reserve.push(self.nest_reserve);
+        self.series.runnable.push(self.runnable);
+        self.series.nest_primary.push(self.nest_primary);
+        self.series.nest_reserve.push(self.nest_reserve);
         let mut socket_busy = vec![0u64; self.socket_cores.len()];
         let mut ccx_busy = vec![0u64; self.ccx_cores.len()];
         for (c, &b) in self.busy.iter().enumerate() {
@@ -220,12 +207,12 @@ impl TimeSeriesSampler {
             }
         }
         for (s, &n) in socket_busy.iter().enumerate() {
-            self.s.socket_util[s].push(n as f64 / self.socket_cores[s] as f64);
+            self.series.socket_util[s].push(n as f64 / self.socket_cores[s] as f64);
         }
         for (x, &n) in ccx_busy.iter().enumerate() {
-            self.s.ccx_util[x].push(n as f64 / self.ccx_cores[x] as f64);
+            self.series.ccx_util[x].push(n as f64 / self.ccx_cores[x] as f64);
         }
-        if self.s.len() > SAMPLE_CAP {
+        if self.series.len() > SAMPLE_CAP {
             self.halve_resolution();
         }
     }
@@ -240,21 +227,21 @@ impl TimeSeriesSampler {
                 keep
             });
         }
-        keep_even(&mut self.s.t_ns);
-        keep_even(&mut self.s.power_w);
-        keep_even(&mut self.s.mean_freq_khz);
-        keep_even(&mut self.s.runnable);
-        keep_even(&mut self.s.nest_primary);
-        keep_even(&mut self.s.nest_reserve);
-        for v in &mut self.s.socket_util {
+        keep_even(&mut self.series.t_ns);
+        keep_even(&mut self.series.power_w);
+        keep_even(&mut self.series.mean_freq_khz);
+        keep_even(&mut self.series.runnable);
+        keep_even(&mut self.series.nest_primary);
+        keep_even(&mut self.series.nest_reserve);
+        for v in &mut self.series.socket_util {
             keep_even(v);
         }
-        for v in &mut self.s.ccx_util {
+        for v in &mut self.series.ccx_util {
             keep_even(v);
         }
-        self.s.interval_ns *= 2;
-        self.s.truncated_halvings += 1;
-        self.next_at = self.s.t_ns.last().copied().unwrap_or(0) + self.s.interval_ns;
+        self.series.interval_ns *= 2;
+        self.series.truncated_halvings += 1;
+        self.next_at = self.series.t_ns.last().copied().unwrap_or(0) + self.series.interval_ns;
     }
 }
 
@@ -266,7 +253,7 @@ impl Probe for TimeSeriesSampler {
         while self.next_at <= now.as_nanos() {
             let at = self.next_at;
             self.sample(at);
-            self.next_at += self.s.interval_ns;
+            self.next_at += self.series.interval_ns;
         }
         match event {
             TraceEvent::RunStart { core, .. } => self.busy[core.index()] = true,
@@ -304,36 +291,30 @@ impl Probe for TimeSeriesSampler {
         while self.next_at <= now.as_nanos() {
             let at = self.next_at;
             self.sample(at);
-            self.next_at += self.s.interval_ns;
+            self.next_at += self.series.interval_ns;
         }
-        if self.s.t_ns.last() != Some(&now.as_nanos()) {
+        if self.series.t_ns.last() != Some(&now.as_nanos()) {
             self.sample(now.as_nanos());
         }
-        *self.out.borrow_mut() = std::mem::take(&mut self.s);
-        // Re-arm the moved-out series' domain columns in case the probe
-        // is (incorrectly) reused; keeps the invariant len == domains.
-        self.s.socket_util = vec![Vec::new(); self.socket_cores.len()];
-        self.s.ccx_util = vec![Vec::new(); self.ccx_cores.len()];
-        self.s.interval_ns = DEFAULT_SAMPLE_INTERVAL_NS;
     }
 
     fn snap(&self) -> Option<(&'static str, Json)> {
         // The machine shape comes from construction; the mirrored state
         // and accumulated columns travel.
         Some((
-            TIMESERIES_PROBE_KIND,
+            "obs.timeseries",
             obj(vec![
-                ("interval_ns", self.s.interval_ns.save()),
-                ("truncated_halvings", self.s.truncated_halvings.save()),
+                ("interval_ns", self.series.interval_ns.save()),
+                ("truncated_halvings", self.series.truncated_halvings.save()),
                 ("next_at", self.next_at.save()),
-                ("t_ns", self.s.t_ns.save()),
-                ("power_w", self.s.power_w.save()),
-                ("mean_freq_khz", self.s.mean_freq_khz.save()),
-                ("runnable_col", self.s.runnable.save()),
-                ("nest_primary_col", self.s.nest_primary.save()),
-                ("nest_reserve_col", self.s.nest_reserve.save()),
-                ("socket_util", self.s.socket_util.save()),
-                ("ccx_util", self.s.ccx_util.save()),
+                ("t_ns", self.series.t_ns.save()),
+                ("power_w", self.series.power_w.save()),
+                ("mean_freq_khz", self.series.mean_freq_khz.save()),
+                ("runnable_col", self.series.runnable.save()),
+                ("nest_primary_col", self.series.nest_primary.save()),
+                ("nest_reserve_col", self.series.nest_reserve.save()),
+                ("socket_util", self.series.socket_util.save()),
+                ("ccx_util", self.series.ccx_util.save()),
                 ("busy", self.busy.save()),
                 ("spinning", self.spinning.save()),
                 ("phys_freq", self.phys_freq.save()),
@@ -345,17 +326,17 @@ impl Probe for TimeSeriesSampler {
     }
 
     fn snap_restore(&mut self, state: &Json) -> Result<(), String> {
-        self.s.interval_ns = snap::load(state, "interval_ns")?;
-        self.s.truncated_halvings = snap::load(state, "truncated_halvings")?;
+        self.series.interval_ns = snap::load(state, "interval_ns")?;
+        self.series.truncated_halvings = snap::load(state, "truncated_halvings")?;
         self.next_at = snap::load(state, "next_at")?;
-        self.s.t_ns = snap::load(state, "t_ns")?;
-        self.s.power_w = snap::load(state, "power_w")?;
-        self.s.mean_freq_khz = snap::load(state, "mean_freq_khz")?;
-        self.s.runnable = snap::load(state, "runnable_col")?;
-        self.s.nest_primary = snap::load(state, "nest_primary_col")?;
-        self.s.nest_reserve = snap::load(state, "nest_reserve_col")?;
-        self.s.socket_util = snap::load_len(state, "socket_util", self.socket_cores.len())?;
-        self.s.ccx_util = snap::load_len(state, "ccx_util", self.ccx_cores.len())?;
+        self.series.t_ns = snap::load(state, "t_ns")?;
+        self.series.power_w = snap::load(state, "power_w")?;
+        self.series.mean_freq_khz = snap::load(state, "mean_freq_khz")?;
+        self.series.runnable = snap::load(state, "runnable_col")?;
+        self.series.nest_primary = snap::load(state, "nest_primary_col")?;
+        self.series.nest_reserve = snap::load(state, "nest_reserve_col")?;
+        self.series.socket_util = snap::load_len(state, "socket_util", self.socket_cores.len())?;
+        self.series.ccx_util = snap::load_len(state, "ccx_util", self.ccx_cores.len())?;
         self.busy = snap::load_len(state, "busy", self.busy.len())?;
         self.spinning = snap::load_len(state, "spinning", self.spinning.len())?;
         self.phys_freq = snap::load_len(state, "phys_freq", self.phys_freq.len())?;
@@ -372,7 +353,7 @@ mod tests {
     use nest_simcore::{CoreId, TaskId};
     use nest_topology::presets;
 
-    fn sampler() -> (TimeSeriesSampler, Rc<RefCell<TimeSeries>>) {
+    fn sampler() -> TimeSeriesSampler {
         let spec = presets::xeon_6130(2);
         let n = spec.n_cores();
         let cps = spec.cores_per_socket();
@@ -391,13 +372,13 @@ mod tests {
 
     #[test]
     fn samples_on_the_grid_and_at_the_end() {
-        let (mut p, out) = sampler();
+        let mut p = sampler();
         let t = Time::from_nanos;
         p.on_event(t(10), &start(1, 0));
         // Stepping past 3 grid points samples each exactly once.
         p.on_event(t(3_200_000), &TraceEvent::RunnableCount { count: 4 });
         p.on_finish(t(4_000_000));
-        let s = out.borrow();
+        let s = &p.series;
         assert_eq!(s.t_ns, vec![1_000_000, 2_000_000, 3_000_000, 4_000_000]);
         // Core 0 was busy the whole time: socket 0 util 1/32, socket 1
         // idle; runnable was 0 until after the grid points passed.
@@ -411,20 +392,20 @@ mod tests {
 
     #[test]
     fn state_at_a_grid_point_excludes_later_events() {
-        let (mut p, out) = sampler();
+        let mut p = sampler();
         let t = Time::from_nanos;
         // The busy transition happens at 1.5 ms: the 1 ms sample sees
         // idle, the 2 ms sample sees busy.
         p.on_event(t(1_500_000), &start(1, 5));
         p.on_finish(t(2_000_000));
-        let s = out.borrow();
+        let s = &p.series;
         assert_eq!(s.t_ns, vec![1_000_000, 2_000_000]);
         assert_eq!(s.socket_util[0], vec![0.0, 1.0 / 32.0]);
     }
 
     #[test]
     fn caps_by_halving_resolution() {
-        let (mut p, out) = sampler();
+        let mut p = sampler();
         // 1000 intervals: must stay under the cap by doubling.
         for i in 1..=1000u64 {
             p.on_event(
@@ -433,7 +414,7 @@ mod tests {
             );
         }
         p.on_finish(Time::from_nanos(1_001 * DEFAULT_SAMPLE_INTERVAL_NS));
-        let s = out.borrow();
+        let s = &p.series;
         assert!(s.len() <= SAMPLE_CAP, "{}", s.len());
         assert!(s.truncated_halvings >= 2);
         assert_eq!(
@@ -450,7 +431,7 @@ mod tests {
 
     #[test]
     fn freq_changes_move_the_mean_and_power() {
-        let (mut p, out) = sampler();
+        let mut p = sampler();
         let t = Time::from_nanos;
         p.on_event(t(0), &start(1, 0));
         p.on_event(
@@ -461,7 +442,7 @@ mod tests {
             },
         );
         p.on_finish(t(1_000_000));
-        let s = out.borrow();
+        let s = &p.series;
         assert_eq!(s.len(), 1);
         // 32 phys cores, one at 3.7 GHz instead of 2.1.
         let expect = (31 * 2_100_000u64 + 3_700_000) / 32;
@@ -470,11 +451,11 @@ mod tests {
 
     #[test]
     fn json_block_is_columnar_and_round_trips() {
-        let (mut p, out) = sampler();
+        let mut p = sampler();
         let t = Time::from_nanos;
         p.on_event(t(10), &start(1, 0));
         p.on_finish(t(2_500_000));
-        let json = out.borrow().to_json();
+        let json = p.series.to_json();
         for key in [
             "interval_ns",
             "samples",
@@ -513,16 +494,16 @@ mod tests {
             );
             p.on_finish(t(3_000_000));
         };
-        let (mut straight, straight_out) = sampler();
+        let mut straight = sampler();
         feed_first(&mut straight);
         let (kind, state) = straight.snap().unwrap();
-        assert_eq!(kind, TIMESERIES_PROBE_KIND);
-        let (mut restored, restored_out) = sampler();
+        assert_eq!(kind, "obs.timeseries");
+        let mut restored = sampler();
         restored.snap_restore(&state).unwrap();
         feed_second(&mut straight);
         feed_second(&mut restored);
-        let (a, b) = (straight_out.borrow(), restored_out.borrow());
-        assert_eq!(*a, *b);
+        let (a, b) = (&straight.series, &restored.series);
+        assert_eq!(a, b);
         assert_eq!(a.len(), 3);
         // Power is compared bit-for-bit through PartialEq on f64 —
         // identical inputs through the pure power function.

@@ -6,8 +6,16 @@
 //! collectors implement [`Probe`] and subscribe to the stream; the engine
 //! itself never aggregates anything, keeping measurement strictly separate
 //! from mechanism.
+//!
+//! A probe holds its own results. To read them after the run, share it:
+//! an `Rc<RefCell<P>>` is itself a [`Probe`], so the engine drives one
+//! clone while the caller keeps the other.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use crate::ids::{CoreId, TaskId};
+use crate::json::Json;
 use crate::time::Time;
 use crate::units::Freq;
 
@@ -210,7 +218,7 @@ pub trait Probe {
     /// metrics). `kind` names the probe type; on restore the caller
     /// rebuilds the probe rig in the original attachment order and
     /// feeds each saved state back via [`Probe::snap_restore`].
-    fn snap(&self) -> Option<(&'static str, crate::json::Json)> {
+    fn snap(&self) -> Option<(&'static str, Json)> {
         None
     }
 
@@ -219,22 +227,29 @@ pub trait Probe {
     ///
     /// The default rejects any state, matching the default `snap` of
     /// `None`.
-    fn snap_restore(&mut self, _state: &crate::json::Json) -> Result<(), String> {
+    fn snap_restore(&mut self, _state: &Json) -> Result<(), String> {
         Err("probe does not support snapshot restore".to_string())
     }
 }
 
-/// A probe that records every event verbatim; useful in tests, which
-/// match the recorded [`TraceEvent`]s structurally.
-#[derive(Default)]
-pub struct RecordingProbe {
-    /// The recorded `(time, event)` pairs.
-    pub events: Vec<(Time, TraceEvent)>,
-}
-
-impl Probe for RecordingProbe {
+/// A shared probe: the engine drives one handle while the caller keeps
+/// another to read the probe's results (after the run, or between engine
+/// steps).
+impl<P: Probe + ?Sized> Probe for Rc<RefCell<P>> {
     fn on_event(&mut self, now: Time, event: &TraceEvent) {
-        self.events.push((now, event.clone()));
+        self.borrow_mut().on_event(now, event);
+    }
+
+    fn on_finish(&mut self, now: Time) {
+        self.borrow_mut().on_finish(now);
+    }
+
+    fn snap(&self) -> Option<(&'static str, Json)> {
+        self.borrow().snap()
+    }
+
+    fn snap_restore(&mut self, state: &Json) -> Result<(), String> {
+        self.borrow_mut().snap_restore(state)
     }
 }
 
@@ -242,13 +257,54 @@ impl Probe for RecordingProbe {
 mod tests {
     use super::*;
 
+    use crate::snap::Snap;
+
+    /// Counts wakeups and finishes; snapshots its wakeup count.
+    #[derive(Default)]
+    struct Tally {
+        woken: u64,
+        finished: bool,
+    }
+
+    impl Probe for Tally {
+        fn on_event(&mut self, _now: Time, event: &TraceEvent) {
+            if let TraceEvent::Woken { .. } = event {
+                self.woken += 1;
+            }
+        }
+
+        fn on_finish(&mut self, _now: Time) {
+            self.finished = true;
+        }
+
+        fn snap(&self) -> Option<(&'static str, Json)> {
+            Some(("test.tally", self.woken.save()))
+        }
+
+        fn snap_restore(&mut self, state: &Json) -> Result<(), String> {
+            self.woken = u64::load(state)?;
+            Ok(())
+        }
+    }
+
     #[test]
-    fn recording_probe_captures_events() {
-        let mut p = RecordingProbe::default();
-        p.on_event(Time::from_nanos(5), &TraceEvent::Woken { task: TaskId(3) });
-        assert_eq!(p.events.len(), 1);
-        assert_eq!(p.events[0].0, Time::from_nanos(5));
-        assert_eq!(p.events[0].1, TraceEvent::Woken { task: TaskId(3) });
+    fn a_shared_probe_is_driven_through_either_handle() {
+        let tally = Rc::new(RefCell::new(Tally::default()));
+        let mut engine_side: Box<dyn Probe> = Box::new(Rc::clone(&tally));
+        let woken = TraceEvent::Woken { task: TaskId(3) };
+        engine_side.on_event(Time::from_nanos(5), &woken);
+        engine_side.on_event(Time::from_nanos(6), &TraceEvent::RunnableCount { count: 1 });
+        assert_eq!(tally.borrow().woken, 1);
+
+        let (kind, state) = engine_side.snap().expect("the tally snapshots");
+        assert_eq!(kind, "test.tally");
+        engine_side.on_event(Time::from_nanos(7), &woken);
+        assert_eq!(tally.borrow().woken, 2);
+        engine_side.snap_restore(&state).unwrap();
+        assert_eq!(tally.borrow().woken, 1, "restore reaches the shared probe");
+
+        engine_side.on_finish(Time::from_nanos(8));
+        assert!(tally.borrow().finished);
     }
 
     #[test]

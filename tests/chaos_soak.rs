@@ -8,11 +8,14 @@
 //! deterministic as every other test in the repo: a failure reproduces
 //! by rerunning, and the corpus only changes when this file does.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use nest_core::{presets, run_once_with, PolicyKind, SimConfig};
 use nest_faults::FaultPlan;
 use nest_obs::InvariantChecker;
 use nest_scenario::Scenario;
-use nest_simcore::{Probe, SimRng, Time};
+use nest_simcore::{SimRng, Time};
 use nest_workloads::hackbench::{Hackbench, HackbenchSpec};
 
 /// Draws one short random plan: each fault kind appears with its own
@@ -45,19 +48,15 @@ fn random_plan(rng: &mut SimRng, n_sockets: u64) -> String {
     clauses.join(",")
 }
 
-/// Builds a fail-fast invariant checker pair for `machine`.
-fn checker_for(
-    machine: &nest_core::MachineSpec,
-) -> (
-    Box<dyn Probe>,
-    std::rc::Rc<std::cell::RefCell<nest_obs::InvariantCounts>>,
-) {
-    let (checker, counts) = InvariantChecker::new(
+/// Builds a fail-fast invariant checker for `machine`, shared so the
+/// test can read its tallies after the run.
+fn checker_for(machine: &nest_core::MachineSpec) -> Rc<RefCell<InvariantChecker>> {
+    let checker = InvariantChecker::new(
         machine.n_cores(),
         machine.freq.fmin.as_khz(),
         machine.freq.fmax().as_khz(),
     );
-    (Box::new(checker.fail_fast()), counts)
+    Rc::new(RefCell::new(checker.fail_fast()))
 }
 
 #[test]
@@ -80,15 +79,10 @@ fn randomized_fault_plans_never_break_invariants() {
                 .seed(100 + round)
                 .horizon(Time::from_secs(120))
                 .faults(plan.clone());
-            let (checker, counts) = InvariantChecker::new(
-                machine.n_cores(),
-                machine.freq.fmin.as_khz(),
-                machine.freq.fmax().as_khz(),
-            );
             // Fail-fast: any violation panics with rule + time + plan.
-            let probe: Box<dyn Probe> = Box::new(checker.fail_fast());
-            let result = run_once_with(&cfg, &workload, vec![probe]);
-            let counts = counts.borrow();
+            let checker = checker_for(&machine);
+            let result = run_once_with(&cfg, &workload, vec![Box::new(Rc::clone(&checker))]);
+            let counts = &checker.borrow().counts;
             assert_eq!(
                 counts.violations, 0,
                 "policy {policy:?}, plan {spec:?}: {counts:?}"
@@ -124,10 +118,10 @@ fn synthetic_512_core_domain_soak_never_breaks_invariants() {
             .seed(7_000 + round)
             .horizon(Time::from_secs(120))
             .faults(plan);
-        let (probe, counts) = checker_for(&machine);
+        let checker = checker_for(&machine);
         let workload = s.build_workload();
-        let result = run_once_with(&cfg, workload.as_ref(), vec![probe]);
-        let counts = counts.borrow();
+        let result = run_once_with(&cfg, workload.as_ref(), vec![Box::new(Rc::clone(&checker))]);
+        let counts = &checker.borrow().counts;
         assert_eq!(counts.violations, 0, "plan {spec:?}: {counts:?}");
         assert!(counts.events_checked > 0);
         assert_eq!(result.invariants.violations, 0, "plan {spec:?}");
@@ -155,10 +149,10 @@ fn two_host_fleet_soak_never_breaks_invariants() {
     let machine = s.sim_config().machine.clone();
     for seed in [11u64, 12] {
         let cfg = s.sim_config().seed(seed).horizon(Time::from_secs(120));
-        let (probe, counts) = checker_for(&machine);
+        let checker = checker_for(&machine);
         let workload = s.build_workload();
-        let result = run_once_with(&cfg, workload.as_ref(), vec![probe]);
-        let counts = counts.borrow();
+        let result = run_once_with(&cfg, workload.as_ref(), vec![Box::new(Rc::clone(&checker))]);
+        let counts = &checker.borrow().counts;
         assert_eq!(counts.violations, 0, "seed {seed}: {counts:?}");
         assert!(counts.events_checked > 0);
         assert_eq!(result.invariants.violations, 0, "seed {seed}");

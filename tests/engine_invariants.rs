@@ -19,9 +19,8 @@ use nest_workloads::{
 
 /// Checks trace well-formedness: RunStart/RunStop pairing per core, no
 /// frequency outside the machine envelope, monotonic time.
-#[derive(Default)]
 struct InvariantProbe {
-    errors: Rc<RefCell<Vec<String>>>,
+    errors: Vec<String>,
     running: Vec<Option<u32>>,
     fmin_khz: u64,
     fmax_khz: u64,
@@ -30,37 +29,35 @@ struct InvariantProbe {
 
 impl Probe for InvariantProbe {
     fn on_event(&mut self, now: Time, event: &TraceEvent) {
-        let err = |m: String| self.errors.borrow_mut().push(m);
         if now < self.last {
-            err(format!("time went backwards at {now}"));
+            self.errors.push(format!("time went backwards at {now}"));
         }
         self.last = now;
-        match event {
+        let error = match event {
             TraceEvent::RunStart { task, core } => {
                 let slot = &mut self.running[core.index()];
-                if let Some(t) = slot {
-                    err(format!("core {core} started {task} while running {t}"));
-                }
+                let error = slot.map(|t| format!("core {core} started {task} while running {t}"));
                 *slot = Some(task.0);
+                error
             }
             TraceEvent::RunStop { task, core, .. } => {
                 let slot = &mut self.running[core.index()];
-                if *slot != Some(task.0) {
-                    err(format!("core {core} stopped {task} but ran {slot:?}"));
-                }
+                let error = (*slot != Some(task.0))
+                    .then(|| format!("core {core} stopped {task} but ran {slot:?}"));
                 *slot = None;
+                error
             }
             TraceEvent::FreqChange { core, freq } => {
                 let khz = freq.as_khz();
-                if khz < self.fmin_khz || khz > self.fmax_khz {
-                    err(format!("core {core} at {freq} outside envelope"));
-                }
+                (khz < self.fmin_khz || khz > self.fmax_khz)
+                    .then(|| format!("core {core} at {freq} outside envelope"))
             }
             TraceEvent::SpinStart { core } if self.running[core.index()].is_some() => {
-                err(format!("core {core} spinning while running a task"));
+                Some(format!("core {core} spinning while running a task"))
             }
-            _ => {}
-        }
+            _ => None,
+        };
+        self.errors.extend(error);
     }
 }
 
@@ -69,14 +66,14 @@ fn check(workload: &dyn Workload, policy: Box<dyn SchedPolicy>) {
     let mut cfg = EngineConfig::new(machine.clone());
     cfg.horizon = Time::from_secs(120);
     let mut engine = Engine::new(cfg, policy);
-    let errors = Rc::new(RefCell::new(Vec::new()));
-    engine.add_probe(Box::new(InvariantProbe {
-        errors: Rc::clone(&errors),
+    let probe = Rc::new(RefCell::new(InvariantProbe {
+        errors: Vec::new(),
         running: vec![None; machine.n_cores()],
         fmin_khz: machine.freq.fmin.as_khz(),
         fmax_khz: machine.freq.fmax().as_khz(),
         last: Time::ZERO,
     }));
+    engine.add_probe(Box::new(Rc::clone(&probe)));
     let mut rng = SimRng::new(3);
     let tasks = workload.build(&mut engine, &mut rng);
     let spawned = tasks.len();
@@ -92,7 +89,7 @@ fn check(workload: &dyn Workload, policy: Box<dyn SchedPolicy>) {
     assert_eq!(out.live_tasks, 0, "{}: tasks leaked", workload.name());
     assert!(out.total_tasks >= spawned);
     assert!(out.energy_joules > 0.0);
-    let errs = errors.borrow();
+    let errs = &probe.borrow().errors;
     assert!(
         errs.is_empty(),
         "{}: {:?}",
