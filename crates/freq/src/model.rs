@@ -104,12 +104,17 @@ pub struct FreqModel {
     throttle: Vec<f64>,
     energy_joules: f64,
     last_integration: Time,
-    /// Instantaneous power, cached between changes to its inputs
-    /// (`thread_activity`, per-phys frequencies). `None` after any such
-    /// change; on cache hit the integrator adds the exact same value
-    /// [`FreqModel::power_w`] would recompute, so energy stays
-    /// bit-identical.
-    power_cache: Option<f64>,
+    /// Power of each physical core (its idle, spin or busy watts) as of
+    /// the last recompute that refreshed it.
+    power_terms: Vec<f64>,
+    /// The voltage each socket's terms were computed at.
+    socket_volt: Vec<f64>,
+    /// Running machine-power total after each socket, summed in
+    /// [`instant_power_w`]'s order; the last entry is machine power.
+    power_prefix: Vec<f64>,
+    /// Physical cores whose activity or frequency changed since the last
+    /// recompute (unordered, may repeat).
+    power_dirty: Vec<usize>,
 }
 
 impl FreqModel {
@@ -152,7 +157,10 @@ impl FreqModel {
             throttle: vec![1.0; spec.sockets],
             energy_joules: 0.0,
             last_integration: Time::ZERO,
-            power_cache: None,
+            power_terms: vec![0.0; n_phys],
+            socket_volt: vec![0.0; spec.sockets],
+            power_prefix: vec![0.0; spec.sockets],
+            power_dirty: (0..n_phys).collect(),
         }
     }
 
@@ -248,7 +256,7 @@ impl FreqModel {
             for ph in d * dp..(d + 1) * dp {
                 if self.phys_is_active(ph) && self.phys[ph].cur > cap {
                     self.phys[ph].cur = cap;
-                    self.power_cache = None;
+                    self.power_dirty.push(ph);
                     changed.push(self.rep_core(ph));
                 }
             }
@@ -292,13 +300,90 @@ impl FreqModel {
         self.energy_joules
     }
 
-    /// Computes instantaneous machine power in watts.
-    fn power_w(&self) -> f64 {
-        instant_power_w(
-            &self.spec,
-            |t| self.thread_activity[t],
-            |phys| self.phys[phys].cur,
-        )
+    /// Voltage of `socket`, set by its fastest active physical core.
+    fn socket_voltage(&self, socket: usize) -> f64 {
+        let fspec = &self.spec.freq;
+        let pps = self.spec.phys_per_socket;
+        let vmax_freq = self.phys[socket * pps..(socket + 1) * pps]
+            .iter()
+            .filter(|ph| ph.active)
+            .map(|ph| ph.cur)
+            .fold(fspec.fmin, Freq::max);
+        self.spec.power.voltage(vmax_freq, fspec.fmin, fspec.fmax())
+    }
+
+    /// Power of physical core `phys` at socket voltage `v`: its busy,
+    /// spin or idle watts, computed as [`instant_power_w`] computes them.
+    fn core_power_w(&self, phys: usize, v: f64) -> f64 {
+        let pspec = &self.spec.power;
+        let (t0, t1) = self.thread_pair[phys];
+        let busy = self.thread_activity[t0] == Activity::Busy
+            || self.thread_activity[t1] == Activity::Busy;
+        let ghz = self.phys[phys].cur.as_ghz();
+        if busy {
+            pspec.dyn_coeff_w_per_ghz * ghz * v * v
+        } else if self.phys[phys].active {
+            // Spinning only: awake, but at a low activity factor.
+            pspec.spin_power_factor * pspec.dyn_coeff_w_per_ghz * ghz * v * v
+        } else {
+            pspec.core_idle_w
+        }
+    }
+
+    /// Returns instantaneous machine power in watts, bit-identical to
+    /// [`instant_power_w`] over the same activity and frequencies.
+    ///
+    /// Each socket with a changed core gets its voltage recomputed; if
+    /// the voltage moved, all of its terms are refreshed, otherwise only
+    /// the changed cores'. The sum then restarts from the running total
+    /// before the first changed socket and re-adds the cached terms in
+    /// the oracle's order, so the float result is the same, not merely
+    /// close. Past the last changed socket, a running total equal to the
+    /// cached one means every later total is unchanged too, so the sum
+    /// stops there.
+    fn power_w(&mut self) -> f64 {
+        let sockets = self.spec.sockets;
+        if !self.power_dirty.is_empty() {
+            let _span = nest_simcore::profile::span(nest_simcore::profile::Subsystem::FreqPower);
+            let pps = self.spec.phys_per_socket;
+            let mut dirty = std::mem::take(&mut self.power_dirty);
+            dirty.sort_unstable();
+            dirty.dedup();
+            for changed in dirty.chunk_by(|a, b| a / pps == b / pps) {
+                let socket = changed[0] / pps;
+                let v = self.socket_voltage(socket);
+                if v.to_bits() == self.socket_volt[socket].to_bits() {
+                    for &phys in changed {
+                        self.power_terms[phys] = self.core_power_w(phys, v);
+                    }
+                } else {
+                    self.socket_volt[socket] = v;
+                    for phys in socket * pps..(socket + 1) * pps {
+                        self.power_terms[phys] = self.core_power_w(phys, v);
+                    }
+                }
+            }
+            let first = dirty[0] / pps;
+            let last_changed = dirty[dirty.len() - 1] / pps;
+            let mut total = match first {
+                0 => 0.0,
+                s => self.power_prefix[s - 1],
+            };
+            for socket in first..sockets {
+                total += self.spec.power.uncore_w;
+                for &term in &self.power_terms[socket * pps..(socket + 1) * pps] {
+                    total += term;
+                }
+                let unchanged = total.to_bits() == self.power_prefix[socket].to_bits();
+                if socket >= last_changed && unchanged {
+                    break;
+                }
+                self.power_prefix[socket] = total;
+            }
+            dirty.clear();
+            self.power_dirty = dirty;
+        }
+        self.power_prefix[sockets - 1]
     }
 
     fn integrate_to(&mut self, now: Time) {
@@ -306,17 +391,7 @@ impl FreqModel {
             return;
         }
         let dt_s = (now - self.last_integration) as f64 / 1e9;
-        let power = match self.power_cache {
-            Some(p) => p,
-            None => {
-                let _span =
-                    nest_simcore::profile::span(nest_simcore::profile::Subsystem::FreqPower);
-                let p = self.power_w();
-                self.power_cache = Some(p);
-                p
-            }
-        };
-        self.energy_joules += power * dt_s;
+        self.energy_joules += self.power_w() * dt_s;
         self.last_integration = now;
     }
 
@@ -335,7 +410,7 @@ impl FreqModel {
         let domain = self.topo.turbo_domain_of_phys(phys);
         let was_active = self.phys[phys].active;
         self.thread_activity[idx] = act;
-        self.power_cache = None;
+        self.power_dirty.push(phys);
         let (t0, t1) = self.thread_pair[phys];
         let is_active = self.thread_activity[t0] != Activity::Idle
             || self.thread_activity[t1] != Activity::Idle;
@@ -366,6 +441,7 @@ impl FreqModel {
             for ph in domain * dp..(domain + 1) * dp {
                 if self.phys_is_active(ph) && self.phys[ph].cur > cap {
                     self.phys[ph].cur = cap;
+                    self.power_dirty.push(ph);
                     changed.push(self.rep_core(ph));
                 }
             }
@@ -433,7 +509,7 @@ impl FreqModel {
             };
             if next != cur {
                 self.phys[phys].cur = next;
-                self.power_cache = None;
+                self.power_dirty.push(phys);
                 changed.push(rep);
             }
         }
@@ -446,9 +522,9 @@ impl FreqModel {
     /// construction and are not stored; [`FreqModel::load`] expects a
     /// model freshly built from the same spec. The energy integrator is
     /// saved as of `last_integration` — not folded forward — so restore
-    /// reproduces future integration steps bit for bit. The power cache
-    /// is deliberately dropped: a cache miss recomputes the identical
-    /// value, so energy stays bit-identical either way.
+    /// reproduces future integration steps bit for bit. The cached power
+    /// terms and running totals are not stored: [`FreqModel::load`] marks
+    /// every core changed, and the recompute yields the identical value.
     pub fn save(&self) -> Json {
         json::obj(vec![
             ("activity", self.thread_activity.save()),
@@ -469,7 +545,8 @@ impl FreqModel {
         self.throttle = snap::load_len(state, "throttle", self.throttle.len())?;
         self.energy_joules = snap::load(state, "energy")?;
         self.last_integration = snap::load(state, "last_integration")?;
-        self.power_cache = None;
+        self.power_dirty.clear();
+        self.power_dirty.extend(0..self.phys.len());
         Ok(())
     }
 }
@@ -479,11 +556,12 @@ impl FreqModel {
 /// frequency.
 ///
 /// This is the whole of [`FreqModel`]'s power model as a pure function,
-/// and the model delegates to it, so any observer that mirrors activity
-/// and frequency from the trace stream (the time-series sampler in
-/// `nest-obs`) computes exactly the power the energy integrator charges.
-/// The float operations run in the same order as the historical method
-/// body, keeping integrated energy bit-identical across the refactor.
+/// so any observer that mirrors activity and frequency from the trace
+/// stream (the time-series sampler in `nest-obs`) computes exactly the
+/// power the energy integrator charges. It is also the oracle for the
+/// model's incremental recompute, which caches per-core terms and the
+/// running total after each socket but adds the same values in the same
+/// order, so integrated energy is bit-identical to summing this.
 ///
 /// `activity_of` is indexed by hardware thread, `freq_of_phys` by
 /// physical core (`socket * phys_per_socket + p`). A physical core is
@@ -935,8 +1013,35 @@ mod tests {
         assert_eq!(m.energy_joules(tm).to_bits(), r.energy_joules(tm).to_bits());
     }
 
+    /// One step of the power-oracle walk.
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        /// `set_activity(core, activity)`.
+        Activity(usize, Activity),
+        /// `advance` over the step's interval at this utilization.
+        Advance(f64),
+        /// `set_socket_throttle(socket, factor)`.
+        Throttle(usize, f64),
+        /// `save` into a freshly built model and continue on the copy.
+        Reload,
+    }
+
+    /// The model's incremental power equals [`instant_power_w`] over the
+    /// same activity and frequencies, bit for bit, before time moves on
+    /// in seeded random walks over machine shapes (1-8 sockets, 1-4 CCXs,
+    /// SMT 1 and 2, flat and ring NUMA, socket- and CCX-scoped turbo);
+    /// its energy equals a naive integrator that recomputes the oracle
+    /// each interval. Each case is reproducible from the seed its failure
+    /// message prints.
     #[test]
     fn pure_power_matches_the_model_bit_for_bit() {
+        use nest_simcore::rng::mix64;
+        use nest_simcore::SimRng;
+        use nest_topology::NumaKind;
+        use std::panic::{self, AssertUnwindSafe};
+
+        // A scripted case: one integration step of exactly 1 s, so
+        // energy == power × 1.0.
         let spec = presets::xeon_6130(2);
         let mut m = FreqModel::new(&spec, Governor::Schedutil);
         let mut acts = vec![Activity::Idle; spec.n_cores()];
@@ -949,7 +1054,6 @@ mod tests {
             m.set_activity(Time::ZERO, CoreId(c), a);
             acts[c as usize] = a;
         }
-        // One integration step of exactly 1 s: energy == power × 1.0.
         let e = m.energy_joules(Time::from_secs(1));
         let pps = spec.phys_per_socket;
         let cps = spec.cores_per_socket();
@@ -959,6 +1063,114 @@ mod tests {
             |phys| m.freq_of(CoreId::from_index((phys / pps) * cps + phys % pps)),
         );
         assert_eq!(e.to_bits(), (p * 1.0).to_bits());
+
+        // Seeded random walks.
+        const SEED: u64 = 0x5EED_0019;
+        const CASES: u64 = 64;
+        for case in 0..CASES {
+            let seed = mix64(SEED, case);
+            let mut rng = SimRng::new(seed);
+            let draw = |rng: &mut SimRng, lo: u64, hi: u64| rng.uniform_u64(lo, hi) as usize;
+            // Synthetic machines have a per-CCX turbo ladder, the 6130 a
+            // per-socket one; the spec's name spells out the shape.
+            let spec = match case {
+                // The shape where the prefix is reused across the most
+                // sockets.
+                0 => presets::synth(8, 2, 2, 2, NumaKind::Ring),
+                _ if rng.chance(0.25) => presets::xeon_6130(draw(&mut rng, 1, 4)),
+                _ => presets::synth(
+                    draw(&mut rng, 1, 8),
+                    draw(&mut rng, 1, 4),
+                    draw(&mut rng, 1, 4),
+                    draw(&mut rng, 1, 2),
+                    [NumaKind::Flat, NumaKind::Ring][draw(&mut rng, 0, 1)],
+                ),
+            };
+            let governor = if rng.chance(0.5) {
+                Governor::Schedutil
+            } else {
+                Governor::Performance
+            };
+            // Each step is taken `dt` ns after the one before.
+            let steps: Vec<(u64, Step)> = (0..draw(&mut rng, 1, 150))
+                .map(|_| {
+                    let dt = if rng.chance(0.2) {
+                        0
+                    } else {
+                        rng.uniform_u64(1, 3 * MILLISEC)
+                    };
+                    let step = match draw(&mut rng, 0, 9) {
+                        0..=4 => Step::Activity(
+                            draw(&mut rng, 0, spec.n_cores() as u64 - 1),
+                            [Activity::Idle, Activity::Busy, Activity::Spinning]
+                                [draw(&mut rng, 0, 2)],
+                        ),
+                        5..=7 => Step::Advance(rng.uniform_f64()),
+                        8 => Step::Throttle(
+                            draw(&mut rng, 0, spec.sockets as u64 - 1),
+                            [1.0, 0.9, 0.5, 0.01][draw(&mut rng, 0, 3)],
+                        ),
+                        _ => Step::Reload,
+                    };
+                    (dt, step)
+                })
+                .collect();
+            let walk = || {
+                let oracle = |m: &FreqModel| {
+                    instant_power_w(&spec, |t| m.thread_activity[t], |phys| m.phys[phys].cur)
+                };
+                let mut m = FreqModel::new(&spec, governor);
+                let mut naive = 0.0;
+                let mut now = Time::ZERO;
+                for (i, &(dt, step)) in steps.iter().enumerate() {
+                    // The interval since the last integration is charged
+                    // at the power of the state before this step.
+                    if dt > 0 {
+                        naive += oracle(&m) * (dt as f64 / 1e9);
+                    }
+                    now += dt;
+                    match step {
+                        Step::Activity(core, act) => {
+                            m.set_activity(now, CoreId::from_index(core), act);
+                        }
+                        Step::Advance(util) => {
+                            m.advance(now, dt, &mut |_| util);
+                        }
+                        Step::Throttle(socket, factor) => {
+                            m.set_socket_throttle(now, socket, factor);
+                        }
+                        Step::Reload => {
+                            let mut fresh = FreqModel::new(&spec, governor);
+                            fresh.load(&m.save()).unwrap();
+                            m = fresh;
+                        }
+                    }
+                    // Reading the power empties the change list, so it is
+                    // read only where time moves next (or at the end): the
+                    // list then holds every change made at this instant,
+                    // in call order and across sockets, as in a run.
+                    let settled = steps.get(i + 1).is_none_or(|&(next, _)| next > 0);
+                    if settled {
+                        assert_eq!(
+                            m.power_w().to_bits(),
+                            oracle(&m).to_bits(),
+                            "power diverged at step {i}"
+                        );
+                    }
+                    assert_eq!(
+                        m.energy_joules(now).to_bits(),
+                        naive.to_bits(),
+                        "energy diverged at step {i}"
+                    );
+                }
+            };
+            if panic::catch_unwind(AssertUnwindSafe(walk)).is_err() {
+                panic!(
+                    "case {case} (seed {seed:#x}) failed on {} {governor:?} steps {steps:?}",
+                    spec.name
+                );
+            }
+        }
     }
 
     #[test]

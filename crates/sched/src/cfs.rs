@@ -294,7 +294,7 @@ pub fn select_wakeup(
     if work_conserving {
         // Nest §3.4: examine all other LLC domains, unbounded, nearest
         // (by NUMA distance) first.
-        for cx in topo.ccxs_nearest_first(target) {
+        for &cx in topo.ccxs_nearest_first(target) {
             if cx == topo.ccx_of(target) {
                 continue;
             }
@@ -799,7 +799,7 @@ mod tests {
                 return core;
             }
             if work_conserving {
-                for cx in topo.ccxs_nearest_first(target) {
+                for &cx in topo.ccxs_nearest_first(target) {
                     if cx == topo.ccx_of(target) {
                         continue;
                     }

@@ -166,8 +166,8 @@ pub struct Nest {
     cfs_params: CfsParams,
     primary: NestSet,
     reserve: NestSet,
-    /// Reusable buffer for the primary search order; the search may
-    /// demote cores mid-iteration, so it walks a snapshot.
+    /// Reusable buffer for one CCX's primary members; the search may
+    /// demote cores mid-iteration, so it walks a copy.
     scratch_order: Vec<CoreId>,
     /// Nest-lifecycle trace events queued for the engine, which drains
     /// them via [`SchedPolicy::drain_trace`] after each callback.
@@ -275,9 +275,12 @@ impl Nest {
     /// `ref_core`), then the other domains nearest-by-distance — iterating
     /// the per-CCX membership sets directly. With `confine`, only that
     /// CCX's members are considered (the domain-local variant's patient
-    /// path). Compaction demotes cores mid-search, so the order is
-    /// snapshotted into a reusable buffer (the one allocation the old
-    /// clone-the-nest scan also paid, but amortized across calls).
+    /// path). Compaction demotes cores mid-search, so each CCX's members
+    /// are copied into a reusable buffer before they are walked, one CCX
+    /// at a time: the search stops at the first idle core without
+    /// touching the CCXs after it. A demotion only removes the core from
+    /// its own CCX's set, so the order equals a snapshot of the whole
+    /// nest taken up front.
     fn search_primary(
         &mut self,
         k: &KernelState,
@@ -287,32 +290,28 @@ impl Nest {
     ) -> Option<CoreId> {
         let _prof = profile::span(profile::Subsystem::NestPrimaryScan);
         let respect = self.respect_pending();
+        let domains = match &confine {
+            Some(cx) => std::slice::from_ref(cx),
+            None => env.topo.ccxs_nearest_first(ref_core),
+        };
         let mut order = std::mem::take(&mut self.scratch_order);
-        order.clear();
-        match confine {
-            Some(cx) => {
-                if let Some(members) = self.primary.domain_members(cx) {
-                    order.extend(members.iter_wrapping_from(ref_core));
-                }
-            }
-            None => {
-                for cx in env.topo.ccxs_nearest_first(ref_core) {
-                    if let Some(members) = self.primary.domain_members(cx) {
-                        order.extend(members.iter_wrapping_from(ref_core));
-                    }
-                }
-            }
-        }
         let mut found = None;
-        for &core in &order {
-            if self.compaction_eligible(k, env, core) {
-                // A task tried to use a stale core: demote it instead.
-                self.demote_as(env.topo, core, true);
+        'search: for &cx in domains {
+            let Some(members) = self.primary.domain_members(cx) else {
                 continue;
-            }
-            if idle_ok(k, core, respect) {
-                found = Some(core);
-                break;
+            };
+            order.clear();
+            order.extend(members.iter_wrapping_from(ref_core));
+            for &core in &order {
+                if self.compaction_eligible(k, env, core) {
+                    // A task tried to use a stale core: demote it instead.
+                    self.demote_as(env.topo, core, true);
+                    continue;
+                }
+                if idle_ok(k, core, respect) {
+                    found = Some(core);
+                    break 'search;
+                }
             }
         }
         self.scratch_order = order;
@@ -346,8 +345,8 @@ impl Nest {
             None => env
                 .topo
                 .ccxs_nearest_first(ref_core)
-                .into_iter()
-                .find_map(|cx| self.reserve.domain_members(cx).and_then(hit)),
+                .iter()
+                .find_map(|&cx| self.reserve.domain_members(cx).and_then(hit)),
         }
     }
 
@@ -704,8 +703,8 @@ mod tests {
             let env = env!(f, now);
             let home = f.topo.ccx_of(ref_core);
             for confine in [None, Some(home)] {
-                let domains: Vec<_> = match confine {
-                    Some(cx) => vec![cx],
+                let domains = match &confine {
+                    Some(cx) => std::slice::from_ref(cx),
                     None => f.topo.ccxs_nearest_first(ref_core),
                 };
                 let naive_primary = domains
@@ -737,6 +736,130 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Seeded regression for the lazy primary scan with compaction on:
+    /// cores age past `p_remove_ticks`, so searches demote mid-scan. The
+    /// reference is the snapshot-first algorithm: take the whole
+    /// nearest-first order of primary members up front (filter scans
+    /// over raw CCX spans), demote each eligible core, return the first
+    /// idle one. Chosen core, both nests and the emitted trace events
+    /// must agree at every step.
+    fn run_lazy_scan_vs_snapshot_trace(mut f: Fixture, seed: u64, steps: u64) {
+        use std::collections::BTreeSet;
+
+        let last = f.topo.n_cores() as u64 - 1;
+        let mut nest = Nest::new(f.topo.n_cores());
+        let (r_max, p_remove) = (nest.params().r_max, nest.params().p_remove_ticks);
+        let mut primary_model: BTreeSet<u32> = BTreeSet::new();
+        let mut reserve_model: BTreeSet<u32> = BTreeSet::new();
+        let mut rng = SimRng::new(seed);
+        let mut busy: Vec<CoreId> = Vec::new();
+        let mut now = Time::ZERO;
+        for step in 0..steps {
+            now += rng.uniform_u64(10_000, 2_000_000);
+            let core = CoreId(rng.uniform_u64(0, last) as u32);
+            match rng.uniform_u64(0, 99) {
+                0..=34 => {
+                    nest.promote(&f.topo, core);
+                    reserve_model.remove(&core.0);
+                    primary_model.insert(core.0);
+                }
+                35..=44 => {
+                    nest.demote(&f.topo, core);
+                    if primary_model.remove(&core.0) && reserve_model.len() < r_max {
+                        reserve_model.insert(core.0);
+                    }
+                }
+                45..=69 => {
+                    if f.k.core(core).is_idle() {
+                        f.occupy(now, core);
+                        busy.push(core);
+                    }
+                }
+                70..=84 => {
+                    if !busy.is_empty() {
+                        let i = rng.uniform_u64(0, busy.len() as u64 - 1) as usize;
+                        let c = busy.swap_remove(i);
+                        f.k.put_curr(now, c);
+                    }
+                }
+                // Touch a core so it is not compaction-eligible.
+                _ => f.k.cores[core.index()].last_used = now,
+            }
+            nest.trace.clear();
+
+            let ref_core = CoreId(rng.uniform_u64(0, last) as u32);
+            let respect = nest.respect_pending();
+            let home = f.topo.ccx_of(ref_core);
+            for confine in [None, Some(home)] {
+                let domains = match &confine {
+                    Some(cx) => std::slice::from_ref(cx),
+                    None => f.topo.ccxs_nearest_first(ref_core),
+                };
+                let order: Vec<CoreId> = domains
+                    .iter()
+                    .flat_map(|&cx| f.topo.ccx_span(cx).iter_wrapping_from(ref_core))
+                    .filter(|c| primary_model.contains(&c.0))
+                    .collect();
+                let mut want_trace = Vec::new();
+                let mut want = None;
+                for core in order {
+                    let eligible = f.k.core(core).is_idle()
+                        && now.saturating_since(f.k.core(core).last_used) >= p_remove * TICK_NS;
+                    if eligible {
+                        primary_model.remove(&core.0);
+                        if reserve_model.len() < r_max {
+                            reserve_model.insert(core.0);
+                        }
+                        want_trace.push(TraceEvent::NestCompaction {
+                            core,
+                            primary: primary_model.len() as u32,
+                            reserve: reserve_model.len() as u32,
+                        });
+                        continue;
+                    }
+                    if idle_ok(&f.k, core, respect) {
+                        want = Some(core);
+                        break;
+                    }
+                }
+                let env = env!(f, now);
+                let got = nest.search_primary(&f.k, &env, ref_core, confine);
+                assert_eq!(
+                    got, want,
+                    "chosen core (confine {confine:?}) at step {step}"
+                );
+                let got: BTreeSet<u32> = nest.primary().iter().map(|c| c.0).collect();
+                assert_eq!(
+                    got, primary_model,
+                    "primary (confine {confine:?}) at step {step}"
+                );
+                let got: BTreeSet<u32> = nest.reserve().iter().map(|c| c.0).collect();
+                assert_eq!(
+                    got, reserve_model,
+                    "reserve (confine {confine:?}) at step {step}"
+                );
+                assert_eq!(
+                    std::mem::take(&mut nest.trace),
+                    want_trace,
+                    "trace (confine {confine:?}) at step {step}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_primary_scan_matches_snapshot_reference_with_compaction() {
+        let f = Fixture::new();
+        run_lazy_scan_vs_snapshot_trace(f, 0x1A27_5CA7, 600);
+    }
+
+    #[test]
+    fn lazy_primary_scan_matches_snapshot_reference_on_multi_ccx_machine() {
+        use nest_topology::NumaKind;
+        let f = Fixture::with_spec(presets::synth(4, 4, 8, 2, NumaKind::Ring));
+        run_lazy_scan_vs_snapshot_trace(f, 0x1A27_256C, 400);
     }
 
     #[test]

@@ -55,6 +55,9 @@ pub struct DomainTree {
     ccx_home: Vec<SocketId>,
     /// Row-major `sockets × sockets` distance matrix.
     socket_distance: Vec<u32>,
+    /// Row-major `n_ccx × n_ccx` table: row `h` is every CCX ordered
+    /// nearest-first from CCX `h` (see [`DomainTree::ccxs_nearest_first`]).
+    ccx_order: Vec<CcxId>,
     sockets: usize,
     ccx_per_socket: usize,
 }
@@ -109,15 +112,25 @@ impl DomainTree {
                 (0..spec.sockets).map(move |b| numa_distance(spec.numa, a, b, spec.sockets))
             })
             .collect();
-        DomainTree {
+        let mut tree = DomainTree {
             ccx_spans,
             socket_spans,
             machine: CpuSet::full(n),
             ccx_home,
             socket_distance,
+            ccx_order: Vec::new(),
             sockets: spec.sockets,
             ccx_per_socket: spec.ccx_per_socket,
+        };
+        let n_ccx = tree.n_ccx();
+        let mut ccx_order = Vec::with_capacity(n_ccx * n_ccx);
+        for home in (0..n_ccx).map(CcxId::from_index) {
+            let mut row: Vec<CcxId> = (0..n_ccx).map(CcxId::from_index).collect();
+            row.sort_by_key(|&c| (tree.ccx_distance(home, c), c.index()));
+            ccx_order.extend(row);
         }
+        tree.ccx_order = ccx_order;
+        tree
     }
 
     /// Number of domains at a level.
@@ -214,31 +227,18 @@ impl DomainTree {
         }
     }
 
-    /// Sockets ordered by distance from `home` (ties by socket number,
-    /// `home` itself first). On a flat machine this is `home` followed by
-    /// the other sockets in numerical order — the search order Nest uses
-    /// to reduce the number of used dies (§3.1).
-    pub fn sockets_nearest_first(&self, home: SocketId) -> Vec<SocketId> {
-        let mut order: Vec<SocketId> = (0..self.sockets).map(SocketId::from_index).collect();
-        order.sort_by_key(|&s| {
-            let d = if s == home {
-                0
-            } else {
-                self.socket_distance(home, s)
-            };
-            (d, s.index())
-        });
-        order
-    }
-
     /// CCXs ordered by distance from `home` (ties by CCX number): `home`
     /// first, then the other CCXs of its socket, then remote CCXs by
-    /// socket distance. The expansion order of the domain-local Nest's
-    /// overflow path.
-    pub fn ccxs_nearest_first(&self, home: CcxId) -> Vec<CcxId> {
-        let mut order: Vec<CcxId> = (0..self.n_ccx()).map(CcxId::from_index).collect();
-        order.sort_by_key(|&c| (self.ccx_distance(home, c), c.index()));
-        order
+    /// socket distance. On one-CCX-per-socket machines this is the socket
+    /// order Nest searches to reduce the number of used dies (§3.1).
+    /// Built once per tree, so the lookup is a slice of a table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `home` is out of range.
+    pub fn ccxs_nearest_first(&self, home: CcxId) -> &[CcxId] {
+        let n = self.n_ccx();
+        &self.ccx_order[home.index() * n..(home.index() + 1) * n]
     }
 }
 
@@ -307,27 +307,29 @@ mod tests {
 
     #[test]
     fn flat_nearest_first_is_home_then_ascending() {
+        // One CCX per socket: the CCX order is the socket order.
         let tree = DomainTree::new(&presets::xeon_6130(4));
         let order: Vec<usize> = tree
-            .sockets_nearest_first(SocketId(2))
+            .ccxs_nearest_first(CcxId(2))
             .iter()
-            .map(|s| s.index())
+            .map(|c| c.index())
             .collect();
         assert_eq!(order, vec![2, 0, 1, 3]);
     }
 
     #[test]
     fn ring_distance_orders_by_hops() {
-        let spec = presets::synth(4, 2, 8, 1, NumaKind::Ring);
+        // One CCX per socket: the CCX order is the socket order.
+        let spec = presets::synth(4, 1, 8, 1, NumaKind::Ring);
         let tree = DomainTree::new(&spec);
         assert_eq!(tree.socket_distance(SocketId(0), SocketId(0)), 10);
         assert_eq!(tree.socket_distance(SocketId(0), SocketId(1)), 20);
         assert_eq!(tree.socket_distance(SocketId(0), SocketId(2)), 30);
         assert_eq!(tree.socket_distance(SocketId(0), SocketId(3)), 20);
         let order: Vec<usize> = tree
-            .sockets_nearest_first(SocketId(0))
+            .ccxs_nearest_first(CcxId(0))
             .iter()
-            .map(|s| s.index())
+            .map(|c| c.index())
             .collect();
         assert_eq!(order, vec![0, 1, 3, 2]);
     }

@@ -352,18 +352,10 @@ impl Topology {
         (0..self.n_cores()).map(CoreId::from_index)
     }
 
-    /// Returns sockets ordered by NUMA distance from `from`'s socket,
-    /// ties broken by socket number. On flat machines this is `from`'s
-    /// own die first, then the others in numerical order — the search
-    /// order Nest uses to reduce the number of used dies (§3.1).
-    pub fn sockets_nearest_first(&self, from: CoreId) -> Vec<SocketId> {
-        self.domains.sockets_nearest_first(self.socket_of(from))
-    }
-
     /// Returns CCXs ordered by distance from `from`'s CCX: home CCX
     /// first, then the rest of the home socket, then remote sockets by
     /// NUMA distance.
-    pub fn ccxs_nearest_first(&self, from: CoreId) -> Vec<CcxId> {
+    pub fn ccxs_nearest_first(&self, from: CoreId) -> &[CcxId] {
         self.domains.ccxs_nearest_first(self.ccx_of(from))
     }
 
@@ -523,8 +515,9 @@ mod tests {
     #[test]
     fn nearest_first_starts_home() {
         let t = topo_6130_4s();
-        let order = t.sockets_nearest_first(CoreId(40));
-        assert_eq!(order[0], SocketId(1));
+        // One CCX per socket: the CCX order is the socket order.
+        let order = t.ccxs_nearest_first(CoreId(40));
+        assert_eq!(order[0], CcxId(1));
         assert_eq!(order.len(), 4);
     }
 

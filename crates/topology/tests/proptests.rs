@@ -155,8 +155,9 @@ fn cpuset_algebra_laws() {
 
 /// Topology invariants hold for arbitrary machine shapes: sibling is
 /// an involution on the same socket, socket spans partition the
-/// machine, nearest-first starts home and covers all sockets, and CCX
-/// spans refine socket spans.
+/// machine, every core's nearest-first CCX row starts at its home CCX
+/// and equals a fresh sort by `(ccx_distance, index)`, and CCX spans
+/// refine socket spans.
 #[test]
 fn topology_invariants() {
     check(
@@ -166,9 +167,14 @@ fn topology_invariants() {
                 draw(rng, 1..5) as usize,
                 draw(rng, 1..4) as usize,
                 draw(rng, 1..8) as usize,
+                if draw(rng, 0..2) == 0 {
+                    NumaKind::Flat
+                } else {
+                    NumaKind::Ring
+                },
             )
         },
-        |&(sockets, ccx, phys_per_ccx)| {
+        |&(sockets, ccx, phys_per_ccx, numa)| {
             let phys = ccx * phys_per_ccx;
             let spec = MachineSpec {
                 name: "prop".to_string(),
@@ -177,7 +183,7 @@ fn topology_invariants() {
                 phys_per_socket: phys,
                 ccx_per_socket: ccx,
                 smt: 2,
-                numa: NumaKind::Flat,
+                numa,
                 freq: FreqSpec {
                     fmin: Freq::from_ghz(1.0),
                     fnominal: Freq::from_ghz(2.0),
@@ -212,16 +218,14 @@ fn topology_invariants() {
                 assert_eq!(topo.sibling(sib), c);
                 assert_eq!(topo.socket_of(sib), topo.socket_of(c));
                 assert_eq!(topo.is_primary_thread(c), !topo.is_primary_thread(sib));
-                let order = topo.sockets_nearest_first(c);
-                assert_eq!(order.len(), sockets);
-                assert_eq!(order[0], topo.socket_of(c));
                 // CCX membership is consistent with the span tables.
                 let cx = topo.ccx_of(c);
                 assert!(topo.ccx_span(cx).contains(c));
                 assert_eq!(topo.domains().socket_of_ccx(cx), topo.socket_of(c));
-                let ccx_order = topo.ccxs_nearest_first(c);
-                assert_eq!(ccx_order.len(), topo.n_ccx());
-                assert_eq!(ccx_order[0], cx);
+                assert_eq!(topo.ccxs_nearest_first(c)[0], cx);
+                let mut sorted: Vec<_> = topo.ccxs().collect();
+                sorted.sort_by_key(|&o| (topo.domains().ccx_distance(cx, o), o.index()));
+                assert_eq!(topo.ccxs_nearest_first(c), &sorted[..]);
             }
             // CCX spans partition each socket span.
             for s in topo.sockets() {

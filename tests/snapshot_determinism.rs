@@ -131,9 +131,11 @@ type Pin = (
 /// Together the rows cover every probe, behaviour kind, policy, fault
 /// kind and the per-CCX kernel caches, so a change made symmetrically to
 /// a component's save and load — invisible to the round-trip tests above
-/// — still fails here.
+/// — still fails here. The last row is an 8-socket ring machine: the
+/// energy integrator in its body sums power over more than four
+/// sockets.
 #[rustfmt::skip]
-const PINS: [Pin; 10] = [
+const PINS: [Pin; 11] = [
     ("5218", "nest", "schedutil", "serve:rate=800,dist=lognorm,requests=200", "", 125, "ee085b914ccda5ba", 284384),
     ("5218", "nest", "schedutil", "configure:gdb", "", 50, "3130b33dacdccc06", 73938),
     ("5218", "smove", "schedutil", "configure:gdb", "", 50, "9f4a35c110e56118", 74198),
@@ -144,6 +146,7 @@ const PINS: [Pin; 10] = [
     ("5218", "nest", "schedutil", "phoronix:zstd compression 7", "", 50, "4215a9824e782598", 183442),
     ("5218", "nest", "schedutil", "configure:gdb", "hotplug=2@20ms:100ms,throttle=s0:0.8,jitter=50us,stragglers=2@10ms:100ms", 60, "774ea603ed3b418a", 92509),
     ("synth:sockets=2,ccx=4,cores=8", "nest:domain=ccx", "schedutil", "schbench:mt=8,w=8,requests=20", "", 50, "9026f7ff2b7df237", 257926),
+    ("synth:sockets=8,ccx=2,cores=2,smt=2,numa=ring", "nest", "schedutil", "hackbench", "", 20, "30a3d5464f096c64", 659771),
 ];
 
 #[test]
