@@ -149,8 +149,10 @@ NEST_CACHE=off NEST_PROGRESS=0 NEST_RESULTS_DIR="$(mktemp -d)" \
     --governor schedutil --workload "schbench:mt=32,w=15,requests=20" --runs 1
 
 # Byte-identity guard: fig02/fig04/fig10/table4/fig_serve_tail/
-# fig_attribution/fig_scale/faulted/synth/replay artifacts vs committed
-# golden hashes.
+# fig_attribution/fig_fleet_failover/fig_scale/faulted/synth/replay
+# artifacts, the `nest-sim stats --json` stats_pin, and five telemetry
+# sidecars (fig02/fig04/fig_attribution/fig_fleet_failover/faulted) vs
+# committed golden hashes.
 step ./scripts/verify_artifacts.sh
 
 # Exact work counts: one traced perfbench round per workload at seed 42

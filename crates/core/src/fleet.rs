@@ -795,27 +795,36 @@ mod tests {
         SimConfig::new(presets::xeon_5218()).policy(PolicyKind::Nest)
     }
 
-    fn fleet_wl(fleet: &str, requests: u32, rate: f64) -> FleetLoad {
-        let spec = nest_fleet::FleetSpec::from_params(&nest_scenario_params(fleet)).unwrap();
-        FleetLoad::new(spec, Box::new(ServeLoad::new(serve_spec(requests, rate))))
+    fn fleet_wl(fleet: FleetSpec, requests: u32, rate: f64) -> FleetLoad {
+        FleetLoad::new(fleet, Box::new(ServeLoad::new(serve_spec(requests, rate))))
     }
 
-    /// Parses `k=v,...` into param pairs (scenario-grammar stand-in).
-    fn nest_scenario_params(s: &str) -> Vec<(String, String)> {
-        if s.is_empty() {
-            return Vec::new();
+    fn hosts(hosts: u32) -> FleetSpec {
+        FleetSpec {
+            hosts,
+            ..FleetSpec::default()
         }
-        s.split(',')
-            .map(|kv| {
-                let (k, v) = kv.split_once('=').expect("k=v");
-                (k.to_string(), v.to_string())
-            })
-            .collect()
+    }
+
+    /// Hosts `0..count` crash at `at_ms` and restart after `dur_ms`.
+    fn crash(count: u32, at_ms: u64, dur_ms: u64) -> Option<nest_fleet::HostDown> {
+        Some(nest_fleet::HostDown {
+            count,
+            at_ns: at_ms * 1_000_000,
+            dur_ns: Some(dur_ms * 1_000_000),
+        })
     }
 
     #[test]
     fn fleet_run_completes_all_requests() {
-        let wl = fleet_wl("hosts=3,lb=warmth", 240, 2_000.0);
+        let wl = fleet_wl(
+            FleetSpec {
+                lb: nest_fleet::LbPolicy::Warmth,
+                ..hosts(3)
+            },
+            240,
+            2_000.0,
+        );
         let r = run_once(&fleet_cfg(), &wl);
         let fleet = r.fleet.as_ref().expect("fleet stats present");
         let m = &fleet.metrics;
@@ -834,7 +843,17 @@ mod tests {
 
     #[test]
     fn fleet_runs_are_deterministic() {
-        let mk = || fleet_wl("hosts=2,retry=2,hedge=p95", 150, 1_500.0);
+        let mk = || {
+            fleet_wl(
+                FleetSpec {
+                    retry: 2,
+                    hedge: HedgeMode::P95,
+                    ..hosts(2)
+                },
+                150,
+                1_500.0,
+            )
+        };
         let a = run_once(&fleet_cfg(), &mk());
         let b = run_once(&fleet_cfg(), &mk());
         let (fa, fb) = (a.fleet.unwrap(), b.fleet.unwrap());
@@ -850,7 +869,12 @@ mod tests {
         // in-flight work on the dead host times out, retries land on the
         // survivor, and the restart comes back cold and re-warms.
         let wl = fleet_wl(
-            "hosts=2,retry=2,timeout=20ms,hostdown=1@40ms:60ms",
+            FleetSpec {
+                retry: 2,
+                timeout_ns: 20_000_000,
+                down: crash(1, 40, 60),
+                ..hosts(2)
+            },
             300,
             3_000.0,
         );
@@ -876,10 +900,10 @@ mod tests {
     fn restart_after_the_stream_drains_winds_down_cleanly() {
         // The host comes back at 300 ms, long after the 100 requests (at
         // 2000/s) have settled: no later event advances the new epoch.
-        let spec = nest_fleet::FleetSpec::from_params(&nest_scenario_params(
-            "hosts=2,hostdown=1@200ms:100ms",
-        ))
-        .unwrap();
+        let spec = FleetSpec {
+            down: crash(1, 200, 100),
+            ..hosts(2)
+        };
         let serve = ServeSpec {
             rate: 2_000.0,
             requests: 100,
@@ -895,7 +919,16 @@ mod tests {
 
     #[test]
     fn hedging_duplicates_slow_requests() {
-        let wl = fleet_wl("hosts=2,hedge=1ms,retry=0,timeout=40ms", 200, 2_000.0);
+        let wl = fleet_wl(
+            FleetSpec {
+                hedge: HedgeMode::After(1_000_000),
+                retry: 0,
+                timeout_ns: 40_000_000,
+                ..hosts(2)
+            },
+            200,
+            2_000.0,
+        );
         let r = run_once(&fleet_cfg(), &wl);
         let m = &r.fleet.as_ref().unwrap().metrics;
         assert!(m.hedges > 0, "a 1ms hedge trigger must fire: {m:?}");
@@ -905,7 +938,7 @@ mod tests {
 
     #[test]
     fn single_host_fleet_matches_request_count() {
-        let wl = fleet_wl("hosts=1", 100, 1_000.0);
+        let wl = fleet_wl(hosts(1), 100, 1_000.0);
         let r = run_once(&fleet_cfg(), &wl);
         let m = &r.fleet.as_ref().unwrap().metrics;
         assert_eq!(m.offered, 100);

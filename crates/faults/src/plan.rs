@@ -23,7 +23,7 @@
 
 use std::fmt;
 
-use nest_simcore::time::{format_duration, parse_duration, MILLISEC};
+use nest_simcore::time::{format_duration, format_window, parse_duration, parse_window, MILLISEC};
 
 /// An error parsing or validating a fault-plan spec.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -142,9 +142,8 @@ impl FaultPlan {
         FaultPlan::from_params(&pairs)
     }
 
-    /// Builds a plan from already-tokenized `key=value` pairs (the form
-    /// the scenario registry's spec parser produces).
-    pub fn from_params(params: &[(String, String)]) -> Result<FaultPlan, FaultError> {
+    /// Builds a plan from [`FaultPlan::parse`]'s `key=value` pairs.
+    fn from_params(params: &[(String, String)]) -> Result<FaultPlan, FaultError> {
         let mut plan = FaultPlan::default();
         for (k, v) in params {
             match k.to_ascii_lowercase().as_str() {
@@ -193,12 +192,11 @@ impl FaultPlan {
     pub fn canonical(&self) -> String {
         let mut parts = Vec::new();
         if let Some(h) = &self.hotplug {
-            let mut s = format!("hotplug={}@{}", h.count, format_duration(h.at_ns));
-            if let Some(d) = h.dur_ns {
-                s.push(':');
-                s.push_str(&format_duration(d));
-            }
-            parts.push(s);
+            parts.push(format!(
+                "hotplug={}@{}",
+                h.count,
+                format_window(h.at_ns, h.dur_ns)
+            ));
         }
         if !self.throttle.is_empty() {
             let mut ts = self.throttle.clone();
@@ -209,11 +207,7 @@ impl FaultPlan {
                     let mut s = format!("s{}:{}", t.socket, t.factor);
                     if t.at_ns != 0 || t.dur_ns.is_some() {
                         s.push('@');
-                        s.push_str(&format_duration(t.at_ns));
-                    }
-                    if let Some(d) = t.dur_ns {
-                        s.push(':');
-                        s.push_str(&format_duration(d));
+                        s.push_str(&format_window(t.at_ns, t.dur_ns));
                     }
                     s
                 })
@@ -225,13 +219,10 @@ impl FaultPlan {
         }
         if let Some(s) = &self.stragglers {
             let mut out = format!("stragglers={}", s.count);
-            if s.at_ns != 0 || s.dur_ns != DEFAULT_STRAGGLER_DUR_NS {
+            let dur = Some(s.dur_ns).filter(|&d| d != DEFAULT_STRAGGLER_DUR_NS);
+            if s.at_ns != 0 || dur.is_some() {
                 out.push('@');
-                out.push_str(&format_duration(s.at_ns));
-            }
-            if s.dur_ns != DEFAULT_STRAGGLER_DUR_NS {
-                out.push(':');
-                out.push_str(&format_duration(s.dur_ns));
+                out.push_str(&format_window(s.at_ns, dur));
             }
             parts.push(out);
         }
@@ -266,19 +257,11 @@ fn parse_hotplug(v: &str) -> Result<HotplugFault, FaultError> {
         .split_once('@')
         .ok_or_else(|| FaultError::new(v, "expected N@TIME[:DUR]"))?;
     let count = parse_count(v, count)?;
-    let (at, dur) = match when.split_once(':') {
-        Some((a, d)) => (parse_dur(v, a)?, Some(parse_dur(v, d)?)),
-        None => (parse_dur(v, when)?, None),
-    };
-    if let Some(d) = dur {
-        if d == 0 {
-            return Err(FaultError::new(v, "offline window must be positive"));
-        }
-    }
+    let (at_ns, dur_ns) = parse_window(when).map_err(|e| FaultError::new(v, e))?;
     Ok(HotplugFault {
         count,
-        at_ns: at,
-        dur_ns: dur,
+        at_ns,
+        dur_ns,
     })
 }
 
@@ -306,16 +289,8 @@ fn parse_throttle(v: &str) -> Result<Vec<ThrottleFault>, FaultError> {
         }
         let (at, dur) = match when {
             None => (0, None),
-            Some(w) => match w.split_once(':') {
-                Some((a, d)) => (parse_dur(clause, a)?, Some(parse_dur(clause, d)?)),
-                None => (parse_dur(clause, w)?, None),
-            },
+            Some(w) => parse_window(w).map_err(|e| FaultError::new(clause, e))?,
         };
-        if let Some(d) = dur {
-            if d == 0 {
-                return Err(FaultError::new(clause, "throttle window must be positive"));
-            }
-        }
         if out.iter().any(|t| t.socket == socket) {
             return Err(FaultError::new(clause, "duplicate socket"));
         }
@@ -336,20 +311,14 @@ fn parse_stragglers(v: &str) -> Result<StragglerFault, FaultError> {
         None => (v, None),
     };
     let count = parse_count(v, count)?;
-    let (at, dur) = match when {
-        None => (0, DEFAULT_STRAGGLER_DUR_NS),
-        Some(w) => match w.split_once(':') {
-            Some((a, d)) => (parse_dur(v, a)?, parse_dur(v, d)?),
-            None => (parse_dur(v, w)?, DEFAULT_STRAGGLER_DUR_NS),
-        },
+    let (at_ns, dur_ns) = match when {
+        None => (0, None),
+        Some(w) => parse_window(w).map_err(|e| FaultError::new(v, e))?,
     };
-    if dur == 0 {
-        return Err(FaultError::new(v, "straggler duration must be positive"));
-    }
     Ok(StragglerFault {
         count,
-        at_ns: at,
-        dur_ns: dur,
+        at_ns,
+        dur_ns: dur_ns.unwrap_or(DEFAULT_STRAGGLER_DUR_NS),
     })
 }
 

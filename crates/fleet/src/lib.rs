@@ -12,8 +12,9 @@
 //! holds only plain data and pure functions so every layer — scenario
 //! parsing, the driver, the figure binaries — shares one definition.
 //!
-//! * [`FleetSpec`] — the `fleet:hosts=4,lb=warmth,retry=2,timeout=50ms`
-//!   grammar: parsing, validation, canonical rendering.
+//! * [`FleetSpec`] — the knobs of a `fleet:hosts=4,lb=warmth,retry=2`
+//!   spec as plain data, plus [`FleetSpec::validate`]; the grammar that
+//!   parses and renders them is `nest-scenario`'s.
 //! * [`choose_host`] — round-robin / least-outstanding / warmth-aware
 //!   host selection over [`HostView`]s.
 //! * [`BackoffSampler`] — capped exponential backoff with deterministic
@@ -26,4 +27,4 @@ pub mod spec;
 
 pub use backoff::BackoffSampler;
 pub use lb::{choose_host, HostView};
-pub use spec::{FleetError, FleetSpec, HedgeMode, HostDegrade, HostDown, LbPolicy};
+pub use spec::{FleetSpec, HedgeMode, HostDegrade, HostDown, LbPolicy};

@@ -1,5 +1,5 @@
-//! The `fleet:` spec: hosts, balancing policy, robustness knobs, and
-//! host-level fault clauses.
+//! The `fleet:` spec as plain data: hosts, balancing policy, robustness
+//! knobs, and host-level fault clauses.
 //!
 //! A fleet spec is the first `+`-part of a workload string:
 //!
@@ -7,12 +7,9 @@
 //! fleet:hosts=4,lb=warmth,retry=2,timeout=50ms,hedge=p95+serve:rate=800
 //! ```
 //!
-//! Knobs at their default drop out of the canonical rendering (the
-//! workload-registry convention), so equivalent specs share one cache
-//! key. Durations use the shared `nest_simcore::time` suffix grammar
-//! (`50ms`, `2s`).
-
-use nest_simcore::time::{format_duration, parse_duration};
+//! The `key=value` grammar lives in `nest-scenario`, beside the other
+//! workload knob tables: it parses and renders [`FleetSpec`]'s fields,
+//! and calls [`FleetSpec::validate`] for the checks that span knobs.
 
 /// Default host count.
 pub const DEFAULT_HOSTS: u32 = 2;
@@ -26,32 +23,6 @@ pub const DEFAULT_CAP_NS: u64 = 20_000_000;
 pub const DEFAULT_RETRY: u32 = 1;
 /// Hard ceiling on the host count (each host is a full engine cell).
 pub const MAX_HOSTS: u32 = 16;
-
-/// A malformed fleet parameter: which knob, and why.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FleetError {
-    /// The offending parameter (e.g. `"hostdown"`).
-    pub param: String,
-    /// What was wrong with it.
-    pub reason: String,
-}
-
-impl FleetError {
-    fn new(param: &str, reason: impl Into<String>) -> FleetError {
-        FleetError {
-            param: param.to_string(),
-            reason: reason.into(),
-        }
-    }
-}
-
-impl std::fmt::Display for FleetError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "fleet parameter \"{}\": {}", self.param, self.reason)
-    }
-}
-
-impl std::error::Error for FleetError {}
 
 /// How the balancer picks a host for an attempt.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -176,214 +147,37 @@ impl Default for FleetSpec {
     }
 }
 
-fn parse_dur(param: &str, s: &str) -> Result<u64, FleetError> {
-    parse_duration(s)
-        .ok_or_else(|| FleetError::new(param, format!("\"{s}\" is not a duration like 50ms")))
-}
-
-/// Parses `K@TIME[:DUR]`.
-fn parse_hostdown(v: &str) -> Result<HostDown, FleetError> {
-    let p = "hostdown";
-    let (count, when) = v
-        .split_once('@')
-        .ok_or_else(|| FleetError::new(p, "expected K@TIME[:DUR], e.g. 1@250ms:250ms"))?;
-    let count: u32 = count
-        .parse()
-        .map_err(|_| FleetError::new(p, format!("\"{count}\" is not a host count")))?;
-    let (at, dur) = match when.split_once(':') {
-        Some((at, dur)) => (parse_dur(p, at)?, Some(parse_dur(p, dur)?)),
-        None => (parse_dur(p, when)?, None),
-    };
-    if count == 0 {
-        return Err(FleetError::new(p, "at least one host must crash"));
-    }
-    Ok(HostDown {
-        count,
-        at_ns: at,
-        dur_ns: dur,
-    })
-}
-
-/// Parses one `hK:F@TIME[:DUR]` clause.
-fn parse_degrade(clause: &str) -> Result<HostDegrade, FleetError> {
-    let p = "degrade";
-    let err = || FleetError::new(p, "expected hK:F@TIME[:DUR], e.g. h1:0.5@200ms:300ms");
-    let rest = clause.strip_prefix('h').ok_or_else(err)?;
-    let (host, rest) = rest.split_once(':').ok_or_else(err)?;
-    let host: u32 = host.parse().map_err(|_| err())?;
-    let (factor, when) = rest.split_once('@').ok_or_else(err)?;
-    let factor: f64 = factor.parse().map_err(|_| err())?;
-    if !(factor > 0.0 && factor <= 1.0) {
-        return Err(FleetError::new(p, "factor must be in (0, 1]"));
-    }
-    let (at, dur) = match when.split_once(':') {
-        Some((at, dur)) => (parse_dur(p, at)?, Some(parse_dur(p, dur)?)),
-        None => (parse_dur(p, when)?, None),
-    };
-    Ok(HostDegrade {
-        host,
-        factor,
-        at_ns: at,
-        dur_ns: dur,
-    })
-}
-
 impl FleetSpec {
-    /// Builds a spec from the shared grammar's `key=value` pairs (the
-    /// scenario layer splits the string; this validates the semantics).
-    pub fn from_params(params: &[(String, String)]) -> Result<FleetSpec, FleetError> {
-        let mut s = FleetSpec::default();
-        for (k, v) in params {
-            match k.as_str() {
-                "hosts" => {
-                    s.hosts = v
-                        .parse()
-                        .map_err(|_| FleetError::new(k, "expected a host count"))?
-                }
-                "lb" => {
-                    s.lb = LbPolicy::from_key(v)
-                        .ok_or_else(|| FleetError::new(k, "one of rr|leastq|warmth"))?
-                }
-                "retry" => {
-                    s.retry = v
-                        .parse()
-                        .map_err(|_| FleetError::new(k, "expected a retry count"))?
-                }
-                "timeout" => s.timeout_ns = parse_dur(k, v)?,
-                "backoff" => s.backoff_ns = parse_dur(k, v)?,
-                "cap" => s.cap_ns = parse_dur(k, v)?,
-                "hedge" => {
-                    s.hedge = match v.as_str() {
-                        "off" => HedgeMode::Off,
-                        "p95" => HedgeMode::P95,
-                        other => HedgeMode::After(parse_dur(k, other)?),
-                    }
-                }
-                "shed" => {
-                    s.shed = match v.as_str() {
-                        "on" => true,
-                        "off" => false,
-                        _ => return Err(FleetError::new(k, "on|off")),
-                    }
-                }
-                "hostdown" => s.down = Some(parse_hostdown(v)?),
-                "degrade" => {
-                    s.degrade = v
-                        .split(';')
-                        .map(parse_degrade)
-                        .collect::<Result<Vec<_>, _>>()?
-                }
-                _ => {
-                    return Err(FleetError::new(
-                        k,
-                        "unknown; valid: hosts, lb, retry, timeout, backoff, cap, \
-                         hedge, shed, hostdown, degrade",
-                    ))
-                }
-            }
-        }
-        s.validate()?;
-        Ok(s)
-    }
-
-    /// Checks cross-knob consistency.
-    pub fn validate(&self) -> Result<(), FleetError> {
+    /// Checks the knobs' ranges and the ones that span knobs; returns
+    /// the offending description on failure.
+    pub fn validate(&self) -> Result<(), String> {
         if self.hosts == 0 || self.hosts > MAX_HOSTS {
-            return Err(FleetError::new(
-                "hosts",
-                format!("must be 1..={MAX_HOSTS} (each host is a full engine cell)"),
+            return Err(format!(
+                "hosts must be 1..={MAX_HOSTS} (each host is a full engine cell)"
             ));
         }
         if self.retry > 10 {
-            return Err(FleetError::new("retry", "at most 10 retries per request"));
+            return Err("retry allows at most 10 retries per request".into());
         }
         if self.timeout_ns == 0 {
-            return Err(FleetError::new("timeout", "must be positive"));
+            return Err("timeout must be positive".into());
         }
         if self.backoff_ns == 0 {
-            return Err(FleetError::new("backoff", "must be positive"));
+            return Err("backoff must be positive".into());
         }
         if self.cap_ns < self.backoff_ns {
-            return Err(FleetError::new("cap", "must be at least the backoff base"));
+            return Err("cap must be at least the backoff base".into());
         }
-        if let Some(d) = &self.down {
-            if d.count >= self.hosts {
-                return Err(FleetError::new(
-                    "hostdown",
-                    "must leave at least one host alive",
-                ));
-            }
+        if self.down.as_ref().is_some_and(|d| d.count >= self.hosts) {
+            return Err("hostdown must leave at least one host alive".into());
         }
-        for d in &self.degrade {
-            if d.host >= self.hosts {
-                return Err(FleetError::new(
-                    "degrade",
-                    format!("host h{} does not exist (hosts={})", d.host, self.hosts),
-                ));
-            }
+        if let Some(d) = self.degrade.iter().find(|d| d.host >= self.hosts) {
+            return Err(format!(
+                "degrade: host h{} does not exist (hosts={})",
+                d.host, self.hosts
+            ));
         }
         Ok(())
-    }
-
-    /// The canonical spec string: `fleet` plus only the knobs that differ
-    /// from the defaults, in declaration order.
-    pub fn canonical(&self) -> String {
-        let base = FleetSpec::default();
-        let mut parts = Vec::new();
-        if self.hosts != base.hosts {
-            parts.push(format!("hosts={}", self.hosts));
-        }
-        if self.lb != base.lb {
-            parts.push(format!("lb={}", self.lb.key()));
-        }
-        if self.retry != base.retry {
-            parts.push(format!("retry={}", self.retry));
-        }
-        if self.timeout_ns != base.timeout_ns {
-            parts.push(format!("timeout={}", format_duration(self.timeout_ns)));
-        }
-        if self.backoff_ns != base.backoff_ns {
-            parts.push(format!("backoff={}", format_duration(self.backoff_ns)));
-        }
-        if self.cap_ns != base.cap_ns {
-            parts.push(format!("cap={}", format_duration(self.cap_ns)));
-        }
-        match self.hedge {
-            HedgeMode::Off => {}
-            HedgeMode::P95 => parts.push("hedge=p95".to_string()),
-            HedgeMode::After(ns) => parts.push(format!("hedge={}", format_duration(ns))),
-        }
-        if self.shed {
-            parts.push("shed=on".to_string());
-        }
-        if let Some(d) = &self.down {
-            let mut clause = format!("hostdown={}@{}", d.count, format_duration(d.at_ns));
-            if let Some(dur) = d.dur_ns {
-                clause.push(':');
-                clause.push_str(&format_duration(dur));
-            }
-            parts.push(clause);
-        }
-        if !self.degrade.is_empty() {
-            let clauses: Vec<String> = self
-                .degrade
-                .iter()
-                .map(|d| {
-                    let mut c = format!("h{}:{}@{}", d.host, d.factor, format_duration(d.at_ns));
-                    if let Some(dur) = d.dur_ns {
-                        c.push(':');
-                        c.push_str(&format_duration(dur));
-                    }
-                    c
-                })
-                .collect();
-            parts.push(format!("degrade={}", clauses.join(";")));
-        }
-        if parts.is_empty() {
-            "fleet".to_string()
-        } else {
-            format!("fleet:{}", parts.join(","))
-        }
     }
 }
 
@@ -391,91 +185,85 @@ impl FleetSpec {
 mod tests {
     use super::*;
 
-    fn pairs(s: &[(&str, &str)]) -> Vec<(String, String)> {
-        s.iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect()
-    }
-
-    #[test]
-    fn defaults_render_bare() {
-        let s = FleetSpec::from_params(&[]).unwrap();
-        assert_eq!(s, FleetSpec::default());
-        assert_eq!(s.canonical(), "fleet");
-    }
-
-    #[test]
-    fn full_spec_round_trips() {
-        let s = FleetSpec::from_params(&pairs(&[
-            ("hosts", "4"),
-            ("lb", "warmth"),
-            ("retry", "2"),
-            ("timeout", "50ms"),
-            ("hedge", "p95"),
-            ("shed", "on"),
-            ("hostdown", "1@250ms:250ms"),
-            ("degrade", "h1:0.5@200ms:300ms"),
-        ]))
-        .unwrap();
-        assert_eq!(s.hosts, 4);
-        assert_eq!(s.lb, LbPolicy::Warmth);
-        assert_eq!(s.retry, 2);
-        assert_eq!(s.hedge, HedgeMode::P95);
-        assert!(s.shed);
-        let d = s.down.as_ref().unwrap();
-        assert_eq!(
-            (d.count, d.at_ns, d.dur_ns),
-            (1, 250_000_000, Some(250_000_000))
-        );
-        assert_eq!(s.degrade.len(), 1);
-        assert_eq!(s.degrade[0].host, 1);
-        assert_eq!(s.degrade[0].factor, 0.5);
-        // timeout=50ms is the default, so it canonicalizes away.
-        assert_eq!(
-            s.canonical(),
-            "fleet:hosts=4,lb=warmth,retry=2,hedge=p95,shed=on,\
-             hostdown=1@250ms:250ms,degrade=h1:0.5@200ms:300ms"
-        );
-    }
-
-    #[test]
-    fn hedge_accepts_fixed_delay() {
-        let s = FleetSpec::from_params(&pairs(&[("hedge", "10ms")])).unwrap();
-        assert_eq!(s.hedge, HedgeMode::After(10_000_000));
-        assert_eq!(s.canonical(), "fleet:hedge=10ms");
-    }
-
     #[test]
     fn validation_rejects_nonsense() {
-        for (k, v, needle) in [
-            ("hosts", "0", "1..="),
-            ("hosts", "99", "1..="),
-            ("retry", "11", "at most 10"),
-            ("timeout", "0ms", "positive"),
-            ("cap", "1us", "at least the backoff base"),
-            ("lb", "random", "rr|leastq|warmth"),
-            ("hostdown", "2@1ms", "at least one host alive"),
-            ("hostdown", "0@1ms", "at least one host must crash"),
-            ("degrade", "h7:0.5@1ms", "does not exist"),
-            ("degrade", "h0:1.5@1ms", "(0, 1]"),
-            ("frobnicate", "1", "unknown"),
+        let down = |count| {
+            Some(HostDown {
+                count,
+                at_ns: 1_000_000,
+                dur_ns: None,
+            })
+        };
+        let degrade = |host| {
+            vec![HostDegrade {
+                host,
+                factor: 0.5,
+                at_ns: 1_000_000,
+                dur_ns: None,
+            }]
+        };
+        let base = FleetSpec::default;
+        assert_eq!(base().validate(), Ok(()));
+        for (spec, needle) in [
+            (FleetSpec { hosts: 0, ..base() }, "1..="),
+            (
+                FleetSpec {
+                    hosts: 99,
+                    ..base()
+                },
+                "1..=",
+            ),
+            (
+                FleetSpec {
+                    retry: 11,
+                    ..base()
+                },
+                "at most 10",
+            ),
+            (
+                FleetSpec {
+                    timeout_ns: 0,
+                    ..base()
+                },
+                "timeout must be positive",
+            ),
+            (
+                FleetSpec {
+                    backoff_ns: 0,
+                    ..base()
+                },
+                "backoff must be positive",
+            ),
+            (
+                FleetSpec {
+                    cap_ns: 1_000,
+                    ..base()
+                },
+                "at least the backoff base",
+            ),
+            (
+                FleetSpec {
+                    down: down(2),
+                    ..base()
+                },
+                "at least one host alive",
+            ),
+            (
+                FleetSpec {
+                    degrade: degrade(7),
+                    ..base()
+                },
+                "does not exist",
+            ),
         ] {
-            let e = FleetSpec::from_params(&pairs(&[(k, v)])).unwrap_err();
-            assert!(e.to_string().contains(needle), "{k}={v}: {e}");
+            let e = spec.validate().unwrap_err();
+            assert!(e.contains(needle), "{spec:?}: {e}");
         }
-    }
-
-    #[test]
-    fn multiple_degrade_clauses_join_with_semicolon() {
-        let s = FleetSpec::from_params(&pairs(&[
-            ("hosts", "3"),
-            ("degrade", "h1:0.5@200ms;h2:0.8@100ms:50ms"),
-        ]))
-        .unwrap();
-        assert_eq!(s.degrade.len(), 2);
-        assert_eq!(
-            s.canonical(),
-            "fleet:hosts=3,degrade=h1:0.5@200ms;h2:0.8@100ms:50ms"
-        );
+        let ok = FleetSpec {
+            down: down(1),
+            degrade: degrade(1),
+            ..base()
+        };
+        assert_eq!(ok.validate(), Ok(()));
     }
 }

@@ -6,6 +6,11 @@
 //! fail with a [`ScenarioError`] like every other registry, and so
 //! specs canonicalize to the fixed clause order the cache keys on.
 //!
+//! Unlike the policy and workload knobs, fault clauses are not a
+//! `knobs!` table (see [`crate::spec`]): a clause is an event, not a
+//! field with a default to elide. Their `TIME[:DUR]` windows are the
+//! shared [`nest_simcore::time::parse_window`] form, as the fleet's are.
+//!
 //! [`Scenario`]: crate::Scenario
 
 use nest_faults::FaultPlan;

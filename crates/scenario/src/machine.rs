@@ -11,9 +11,84 @@
 use nest_topology::{presets, MachineSpec, NumaKind};
 
 use crate::error::ScenarioError;
+use crate::spec::{apply_knobs, knobs, parse_spec, Codec, Knob};
 
 /// The grammar hint listed alongside the preset keys in error messages.
 pub const SYNTH_GRAMMAR: &str = "synth:sockets=S,ccx=C,cores=N[,smt=2][,numa=ring]";
+
+/// The knobs of a `synth:` shape. A zero count is one not given.
+struct Shape {
+    sockets: usize,
+    ccx: usize,
+    cores: usize,
+    smt: usize,
+    numa: NumaKind,
+}
+
+/// A shape before any knob is applied: no counts, one thread per core,
+/// flat NUMA.
+const UNSET: Shape = Shape {
+    sockets: 0,
+    ccx: 0,
+    cores: 0,
+    smt: 1,
+    numa: NumaKind::Flat,
+};
+
+/// The three counts lead the table: they are mandatory.
+const SYNTH: &[Knob<Shape>] = knobs!(Shape {
+    "sockets" => sockets: Count,
+    "ccx" => ccx: Count,
+    "cores" => cores: Count,
+    "smt" => smt: Smt,
+    "numa" => numa: NumaKind,
+});
+const MANDATORY: usize = 3;
+
+/// A positive count.
+struct Count;
+
+impl Codec<usize> for Count {
+    const EXPECTED: &'static str = "a positive integer";
+    fn parse(value: &str) -> Option<usize> {
+        value.parse().ok().filter(|&n| n > 0)
+    }
+    fn render(value: &usize) -> String {
+        value.to_string()
+    }
+}
+
+/// Hardware threads per core: 1 or 2.
+struct Smt;
+
+impl Codec<usize> for Smt {
+    const EXPECTED: &'static str = "1 or 2";
+    fn parse(value: &str) -> Option<usize> {
+        value.parse().ok().filter(|n| (1..=2).contains(n))
+    }
+    fn render(value: &usize) -> String {
+        value.to_string()
+    }
+}
+
+/// `numa=flat|ring`.
+impl Codec<NumaKind> for NumaKind {
+    const EXPECTED: &'static str = "flat or ring";
+    fn parse(value: &str) -> Option<NumaKind> {
+        match value {
+            "flat" => Some(NumaKind::Flat),
+            "ring" => Some(NumaKind::Ring),
+            _ => None,
+        }
+    }
+    fn render(value: &NumaKind) -> String {
+        match value {
+            NumaKind::Flat => "flat",
+            NumaKind::Ring => "ring",
+        }
+        .to_string()
+    }
+}
 
 /// Parses a `synth:` machine string into its [`MachineSpec`].
 ///
@@ -23,75 +98,23 @@ pub const SYNTH_GRAMMAR: &str = "synth:sockets=S,ccx=C,cores=N[,smt=2][,numa=rin
 /// sockets/ccx/cores order, defaults elided), so every way of writing the
 /// same shape hashes to the same harness seeds.
 fn parse_synth(spec: &str) -> Result<MachineSpec, ScenarioError> {
-    let body = spec
-        .strip_prefix("synth:")
-        .expect("caller checked the prefix");
     let malformed = |reason: String| ScenarioError::MalformedSpec {
         spec: spec.to_string(),
         reason,
     };
-    let int = |param: &str, value: &str| -> Result<usize, ScenarioError> {
-        match value.parse::<usize>() {
-            Ok(n) if n > 0 => Ok(n),
-            _ => Err(ScenarioError::BadValue {
-                param: param.to_string(),
-                value: value.to_string(),
-                expected: "a positive integer",
-            }),
-        }
-    };
-    let (mut sockets, mut ccx, mut cores) = (None, None, None);
-    let mut smt = 1;
-    let mut numa = NumaKind::Flat;
-    for part in body.split(',') {
-        let Some((k, v)) = part.split_once('=') else {
-            return Err(malformed(format!("\"{part}\" is not a key=value pair")));
-        };
-        let (k, v) = (k.trim(), v.trim());
-        match k {
-            "sockets" => sockets = Some(int(k, v)?),
-            "ccx" => ccx = Some(int(k, v)?),
-            "cores" => cores = Some(int(k, v)?),
-            "smt" => {
-                smt = int(k, v)?;
-                if smt > 2 {
-                    return Err(ScenarioError::BadValue {
-                        param: "smt".to_string(),
-                        value: v.to_string(),
-                        expected: "1 or 2",
-                    });
-                }
-            }
-            "numa" => {
-                numa = match v {
-                    "flat" => NumaKind::Flat,
-                    "ring" => NumaKind::Ring,
-                    _ => {
-                        return Err(ScenarioError::BadValue {
-                            param: "numa".to_string(),
-                            value: v.to_string(),
-                            expected: "flat or ring",
-                        })
-                    }
-                };
-            }
-            _ => {
-                return Err(ScenarioError::UnknownParam {
-                    kind: "machine",
-                    entry: "synth".to_string(),
-                    param: k.to_string(),
-                    valid: ["sockets", "ccx", "cores", "smt", "numa"]
-                        .iter()
-                        .map(|p| p.to_string())
-                        .collect(),
-                })
-            }
-        }
+    let p = parse_spec("machine", spec)?;
+    if let Some(member) = &p.member {
+        return Err(malformed(format!("\"{member}\" is not a key=value pair")));
     }
-    let sockets = sockets.ok_or_else(|| malformed("missing \"sockets=\"".to_string()))?;
-    let ccx = ccx.ok_or_else(|| malformed("missing \"ccx=\"".to_string()))?;
-    let cores = cores.ok_or_else(|| malformed("missing \"cores=\"".to_string()))?;
-    Ok(presets::synth(sockets, ccx, cores, smt, numa))
+    let mut s = UNSET;
+    apply_knobs("machine", SYNTH, &p, &mut s)?;
+    if let Some(k) = SYNTH[..MANDATORY]
+        .iter()
+        .find(|k| (k.show)(&s, &UNSET).is_none())
+    {
+        return Err(malformed(format!("missing \"{}=\"", k.name)));
+    }
+    Ok(presets::synth(s.sockets, s.ccx, s.cores, s.smt, s.numa))
 }
 
 /// One machine registry entry.
@@ -173,50 +196,49 @@ pub fn paper_machine_keys() -> [&'static str; 4] {
     ["6130-2", "6130-4", "5218", "e7-8870"]
 }
 
+/// A machine name resolved once: a registry preset, or a synthetic
+/// machine (already built, since parsing its shape builds it).
+enum Resolved {
+    Preset(MachineEntry),
+    Synth(MachineSpec),
+}
+
+fn resolve(name: &str) -> Result<Resolved, ScenarioError> {
+    let wanted = name.trim().to_ascii_lowercase();
+    if wanted.starts_with("synth:") {
+        return parse_synth(&wanted).map(Resolved::Synth);
+    }
+    machine_entries()
+        .into_iter()
+        .find(|e| e.key == wanted || e.aliases.contains(&wanted.as_str()))
+        .map(Resolved::Preset)
+        .ok_or_else(|| ScenarioError::UnknownEntry {
+            kind: "machine",
+            name: name.to_string(),
+            valid: machine_keys()
+                .iter()
+                .map(|k| k.to_string())
+                .chain(std::iter::once(SYNTH_GRAMMAR.to_string()))
+                .collect(),
+        })
+}
+
 /// Resolves `name` (key, alias, or `synth:` shape, case-insensitive) to
 /// its canonical identity string. For presets that is the registry key;
 /// for synthetic machines it is the normalised `synth:` string (counts in
 /// sockets/ccx/cores order, defaults elided).
 pub fn canonical_machine(name: &str) -> Result<String, ScenarioError> {
-    let wanted = name.trim().to_ascii_lowercase();
-    if wanted.starts_with("synth:") {
-        return Ok(parse_synth(&wanted)?.name);
-    }
-    for e in machine_entries() {
-        if e.key == wanted || e.aliases.contains(&wanted.as_str()) {
-            return Ok(e.key.to_string());
-        }
-    }
-    Err(ScenarioError::UnknownEntry {
-        kind: "machine",
-        name: name.to_string(),
-        valid: machine_keys()
-            .iter()
-            .map(|k| k.to_string())
-            .chain(std::iter::once(SYNTH_GRAMMAR.to_string()))
-            .collect(),
+    Ok(match resolve(name)? {
+        Resolved::Preset(e) => e.key.to_string(),
+        Resolved::Synth(m) => m.name,
     })
 }
 
 /// Resolves `name` to its [`MachineSpec`].
 pub fn machine(name: &str) -> Result<MachineSpec, ScenarioError> {
-    let wanted = name.trim().to_ascii_lowercase();
-    if wanted.starts_with("synth:") {
-        return parse_synth(&wanted);
-    }
-    for e in machine_entries() {
-        if e.key == wanted || e.aliases.contains(&wanted.as_str()) {
-            return Ok(e.build());
-        }
-    }
-    Err(ScenarioError::UnknownEntry {
-        kind: "machine",
-        name: name.to_string(),
-        valid: machine_keys()
-            .iter()
-            .map(|k| k.to_string())
-            .chain(std::iter::once(SYNTH_GRAMMAR.to_string()))
-            .collect(),
+    Ok(match resolve(name)? {
+        Resolved::Preset(e) => e.build(),
+        Resolved::Synth(m) => m,
     })
 }
 
@@ -288,6 +310,29 @@ mod tests {
         assert_eq!(m.smt, 2);
         assert_eq!(m.name, "synth:sockets=8,ccx=8,cores=8,smt=2,numa=ring");
         assert_eq!(canonical_machine(&m.name).unwrap(), m.name);
+    }
+
+    #[test]
+    fn synth_table_renders_the_preset_name() {
+        // `presets::synth` builds the seed-relevant name; the knob table
+        // must spell the same shape the same way.
+        for (sockets, ccx, cores, smt, numa) in [
+            (4, 8, 8, 1, NumaKind::Flat),
+            (8, 8, 8, 2, NumaKind::Ring),
+            (1, 1, 1, 2, NumaKind::Flat),
+        ] {
+            let shape = Shape {
+                sockets,
+                ccx,
+                cores,
+                smt,
+                numa,
+            };
+            assert_eq!(
+                crate::spec::changed_knobs("synth".into(), ':', SYNTH, &shape, &UNSET),
+                presets::synth(sockets, ccx, cores, smt, numa).name
+            );
+        }
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! defaults resolves to the bare [`PolicyKind`] variant (`nest:spin=on` ≡
 //! `nest`), so equivalent specs share one canonical string, one cache
 //! key, and one seed stream. Canonical strings list only the parameters
-//! that differ from the defaults, in declaration order.
+//! that differ from the defaults, in the order of each policy's knob
+//! table (see [`crate::spec`]).
 
 use nest_core::PolicyKind;
 use nest_sched::{CfsParams, NestDomain, NestParams, SmoveParams};
@@ -13,7 +14,7 @@ use nest_simcore::CoreId;
 
 use crate::error::ScenarioError;
 use crate::spec::{
-    fmt_bool, fmt_f64, parse_bool, parse_f64, parse_spec, parse_u32, parse_u64, parse_usize,
+    apply_knobs, changed_knobs, knob_names, knobs, parse_spec, Codec, Float, Int, Knob, OnOff,
     ParsedSpec,
 };
 
@@ -27,194 +28,99 @@ pub fn policy_entries() -> Vec<(&'static str, String)> {
     vec![
         (
             "cfs",
-            format!(
-                "Linux CFS baseline (§2.1); parameters: {}",
-                CFS_PARAMS.join(", ")
-            ),
+            format!("Linux CFS baseline (§2.1); parameters: {}", knob_names(CFS)),
         ),
         (
             "nest",
             format!(
                 "the Nest scheduler (§3, Table 1 defaults); parameters: {}",
-                NEST_PARAMS.join(", ")
+                knob_names(NEST)
             ),
         ),
         (
             "smove",
             format!(
                 "the Smove baseline (§2.2); parameters: {}",
-                SMOVE_PARAMS.join(", ")
+                knob_names(SMOVE)
             ),
         ),
     ]
 }
 
-const CFS_PARAMS: [&str; 3] = ["scan_budget", "die_ticks", "numa_ticks"];
-const NEST_PARAMS: [&str; 12] = [
-    "p_remove",
-    "r_max",
-    "r_impatient",
-    "s_max",
-    "anchor",
-    "domain",
-    "reserve",
-    "compaction",
-    "spin",
-    "attachment",
-    "wwc",
-    "resflag",
-];
-const SMOVE_PARAMS: [&str; 2] = ["delay_ns", "low_freq"];
+const CFS: &[Knob<CfsParams>] = knobs!(CfsParams {
+    "scan_budget" => wakeup_scan_budget: Int,
+    "die_ticks" => die_balance_ticks: Int,
+    "numa_ticks" => numa_balance_ticks: Int,
+});
 
-fn unknown_param(entry: &str, param: &str, valid: &[&str]) -> ScenarioError {
-    ScenarioError::UnknownParam {
-        kind: "policy",
-        entry: entry.to_string(),
-        param: param.to_string(),
-        valid: valid.iter().map(|p| p.to_string()).collect(),
+const NEST: &[Knob<NestParams>] = knobs!(NestParams {
+    "p_remove" => p_remove_ticks: Int,
+    "r_max" => r_max: Int,
+    "r_impatient" => r_impatient: Int,
+    "s_max" => s_max_ticks: Int,
+    "anchor" => anchor_core: CoreId,
+    "domain" => domain: NestDomain,
+    "reserve" => enable_reserve: OnOff,
+    "compaction" => enable_compaction: OnOff,
+    "spin" => enable_spin: OnOff,
+    "attachment" => enable_attachment: OnOff,
+    "wwc" => enable_wakeup_work_conservation: OnOff,
+    "resflag" => enable_reservation_flag: OnOff,
+});
+
+const SMOVE: &[Knob<SmoveParams>] = knobs!(SmoveParams {
+    "delay_ns" => timer_delay_ns: Int,
+    "low_freq" => low_freq_factor: Float,
+});
+
+/// `anchor=N`: a core index.
+impl Codec<CoreId> for CoreId {
+    const EXPECTED: &'static str = "a non-negative integer";
+    fn parse(value: &str) -> Option<CoreId> {
+        value.parse().ok().map(CoreId)
+    }
+    fn render(value: &CoreId) -> String {
+        value.0.to_string()
     }
 }
 
-fn apply_cfs(p: &ParsedSpec) -> Result<CfsParams, ScenarioError> {
-    let mut c = CfsParams::default();
-    for (k, v) in &p.params {
-        match k.as_str() {
-            "scan_budget" => c.wakeup_scan_budget = parse_usize(k, v)?,
-            "die_ticks" => c.die_balance_ticks = parse_u64(k, v)?,
-            "numa_ticks" => c.numa_balance_ticks = parse_u64(k, v)?,
-            _ => return Err(unknown_param("cfs", k, &CFS_PARAMS)),
+/// `domain=machine|ccx`: where Nest searches first.
+impl Codec<NestDomain> for NestDomain {
+    const EXPECTED: &'static str = "machine or ccx";
+    fn parse(value: &str) -> Option<NestDomain> {
+        match value {
+            "machine" => Some(NestDomain::Machine),
+            "ccx" => Some(NestDomain::Ccx),
+            _ => None,
         }
     }
-    Ok(c)
-}
-
-fn apply_nest(p: &ParsedSpec) -> Result<NestParams, ScenarioError> {
-    let mut n = NestParams::default();
-    for (k, v) in &p.params {
-        match k.as_str() {
-            "p_remove" => n.p_remove_ticks = parse_u64(k, v)?,
-            "r_max" => n.r_max = parse_usize(k, v)?,
-            "r_impatient" => n.r_impatient = parse_u32(k, v)?,
-            "s_max" => n.s_max_ticks = parse_u32(k, v)?,
-            "anchor" => n.anchor_core = CoreId(parse_u32(k, v)?),
-            "domain" => {
-                n.domain = match v.trim() {
-                    "machine" => NestDomain::Machine,
-                    "ccx" => NestDomain::Ccx,
-                    _ => {
-                        return Err(ScenarioError::BadValue {
-                            param: "domain".to_string(),
-                            value: v.to_string(),
-                            expected: "machine or ccx",
-                        })
-                    }
-                }
-            }
-            "reserve" => n.enable_reserve = parse_bool(k, v)?,
-            "compaction" => n.enable_compaction = parse_bool(k, v)?,
-            "spin" => n.enable_spin = parse_bool(k, v)?,
-            "attachment" => n.enable_attachment = parse_bool(k, v)?,
-            "wwc" => n.enable_wakeup_work_conservation = parse_bool(k, v)?,
-            "resflag" => n.enable_reservation_flag = parse_bool(k, v)?,
-            _ => return Err(unknown_param("nest", k, &NEST_PARAMS)),
+    fn render(value: &NestDomain) -> String {
+        match value {
+            NestDomain::Machine => "machine",
+            NestDomain::Ccx => "ccx",
         }
+        .to_string()
     }
-    Ok(n)
 }
 
-fn apply_smove(p: &ParsedSpec) -> Result<SmoveParams, ScenarioError> {
-    let mut s = SmoveParams::default();
-    for (k, v) in &p.params {
-        match k.as_str() {
-            "delay_ns" => s.timer_delay_ns = parse_u64(k, v)?,
-            "low_freq" => s.low_freq_factor = parse_f64(k, v)?,
-            _ => return Err(unknown_param("smove", k, &SMOVE_PARAMS)),
-        }
-    }
-    Ok(s)
-}
-
-fn canon_cfs(c: &CfsParams) -> String {
-    let d = CfsParams::default();
-    let mut parts = Vec::new();
-    if c.wakeup_scan_budget != d.wakeup_scan_budget {
-        parts.push(format!("scan_budget={}", c.wakeup_scan_budget));
-    }
-    if c.die_balance_ticks != d.die_balance_ticks {
-        parts.push(format!("die_ticks={}", c.die_balance_ticks));
-    }
-    if c.numa_balance_ticks != d.numa_balance_ticks {
-        parts.push(format!("numa_ticks={}", c.numa_balance_ticks));
-    }
-    render("cfs", parts)
-}
-
-fn canon_nest(n: &NestParams) -> String {
-    let d = NestParams::default();
-    let mut parts = Vec::new();
-    if n.p_remove_ticks != d.p_remove_ticks {
-        parts.push(format!("p_remove={}", n.p_remove_ticks));
-    }
-    if n.r_max != d.r_max {
-        parts.push(format!("r_max={}", n.r_max));
-    }
-    if n.r_impatient != d.r_impatient {
-        parts.push(format!("r_impatient={}", n.r_impatient));
-    }
-    if n.s_max_ticks != d.s_max_ticks {
-        parts.push(format!("s_max={}", n.s_max_ticks));
-    }
-    if n.anchor_core != d.anchor_core {
-        parts.push(format!("anchor={}", n.anchor_core.0));
-    }
-    if n.domain != d.domain {
-        parts.push(match n.domain {
-            NestDomain::Machine => "domain=machine".to_string(),
-            NestDomain::Ccx => "domain=ccx".to_string(),
-        });
-    }
-    if n.enable_reserve != d.enable_reserve {
-        parts.push(format!("reserve={}", fmt_bool(n.enable_reserve)));
-    }
-    if n.enable_compaction != d.enable_compaction {
-        parts.push(format!("compaction={}", fmt_bool(n.enable_compaction)));
-    }
-    if n.enable_spin != d.enable_spin {
-        parts.push(format!("spin={}", fmt_bool(n.enable_spin)));
-    }
-    if n.enable_attachment != d.enable_attachment {
-        parts.push(format!("attachment={}", fmt_bool(n.enable_attachment)));
-    }
-    if n.enable_wakeup_work_conservation != d.enable_wakeup_work_conservation {
-        parts.push(format!(
-            "wwc={}",
-            fmt_bool(n.enable_wakeup_work_conservation)
-        ));
-    }
-    if n.enable_reservation_flag != d.enable_reservation_flag {
-        parts.push(format!("resflag={}", fmt_bool(n.enable_reservation_flag)));
-    }
-    render("nest", parts)
-}
-
-fn canon_smove(s: &SmoveParams) -> String {
-    let d = SmoveParams::default();
-    let mut parts = Vec::new();
-    if s.timer_delay_ns != d.timer_delay_ns {
-        parts.push(format!("delay_ns={}", s.timer_delay_ns));
-    }
-    if s.low_freq_factor != d.low_freq_factor {
-        parts.push(format!("low_freq={}", fmt_f64(s.low_freq_factor)));
-    }
-    render("smove", parts)
-}
-
-fn render(head: &str, parts: Vec<String>) -> String {
-    if parts.is_empty() {
-        head.to_string()
-    } else {
-        format!("{head}:{}", parts.join(","))
-    }
+/// Applies `p`'s overrides to the defaults; overrides that all equal
+/// the defaults give the `bare` variant, so `nest:spin=on` and `nest`
+/// share one canonical string and one seed stream.
+fn resolve<S: Default>(
+    knobs: &[Knob<S>],
+    p: &ParsedSpec,
+    bare: PolicyKind,
+    with: fn(S) -> PolicyKind,
+) -> Result<PolicyKind, ScenarioError> {
+    let (mut s, base) = (S::default(), S::default());
+    apply_knobs("policy", knobs, p, &mut s)?;
+    Ok(
+        if changed_knobs(String::new(), ':', knobs, &s, &base).is_empty() {
+            bare
+        } else {
+            with(s)
+        },
+    )
 }
 
 /// The canonical spec string of a resolved [`PolicyKind`]: the registry
@@ -222,11 +128,15 @@ fn render(head: &str, parts: Vec<String>) -> String {
 pub fn policy_spec_of(kind: &PolicyKind) -> String {
     match kind {
         PolicyKind::Cfs => "cfs".to_string(),
-        PolicyKind::CfsWith(p) => canon_cfs(p),
+        PolicyKind::CfsWith(c) => changed_knobs("cfs".into(), ':', CFS, c, &CfsParams::default()),
         PolicyKind::Nest => "nest".to_string(),
-        PolicyKind::NestWith(p) => canon_nest(p),
+        PolicyKind::NestWith(n) => {
+            changed_knobs("nest".into(), ':', NEST, n, &NestParams::default())
+        }
         PolicyKind::Smove => "smove".to_string(),
-        PolicyKind::SmoveWith(p) => canon_smove(p),
+        PolicyKind::SmoveWith(s) => {
+            changed_knobs("smove".into(), ':', SMOVE, s, &SmoveParams::default())
+        }
     }
 }
 
@@ -240,40 +150,16 @@ pub fn policy(spec: &str) -> Result<PolicyKind, ScenarioError> {
             reason: format!("policy parameters must be key=value (got \"{member}\")"),
         });
     }
-    let kind = match p.head.as_str() {
-        "cfs" => {
-            let c = apply_cfs(&p)?;
-            if canon_cfs(&c) == "cfs" {
-                PolicyKind::Cfs
-            } else {
-                PolicyKind::CfsWith(c)
-            }
-        }
-        "nest" => {
-            let n = apply_nest(&p)?;
-            if canon_nest(&n) == "nest" {
-                PolicyKind::Nest
-            } else {
-                PolicyKind::NestWith(n)
-            }
-        }
-        "smove" => {
-            let s = apply_smove(&p)?;
-            if canon_smove(&s) == "smove" {
-                PolicyKind::Smove
-            } else {
-                PolicyKind::SmoveWith(s)
-            }
-        }
-        _ => {
-            return Err(ScenarioError::UnknownEntry {
-                kind: "policy",
-                name: p.head,
-                valid: policy_keys().iter().map(|k| k.to_string()).collect(),
-            })
-        }
-    };
-    Ok(kind)
+    match p.head.as_str() {
+        "cfs" => resolve(CFS, &p, PolicyKind::Cfs, PolicyKind::CfsWith),
+        "nest" => resolve(NEST, &p, PolicyKind::Nest, PolicyKind::NestWith),
+        "smove" => resolve(SMOVE, &p, PolicyKind::Smove, PolicyKind::SmoveWith),
+        _ => Err(ScenarioError::UnknownEntry {
+            kind: "policy",
+            name: p.head,
+            valid: policy_keys().iter().map(|k| k.to_string()).collect(),
+        }),
+    }
 }
 
 /// Canonicalizes a policy spec string (parse, normalize, re-render).

@@ -6,6 +6,16 @@
 //! `=`-less token after the colon), and ordered `key=value` parameters.
 //! Duplicate keys and trailing positional tokens are errors, never
 //! silently dropped.
+//!
+//! Each registry entry declares its knobs once, in a [`Knob`] table
+//! built with `knobs!`: key, field and [`Codec`] (how the value is
+//! spelled). That one declaration parses the knob ([`apply_knobs`]),
+//! renders it when it differs from the base ([`changed_knobs`]) and
+//! lists it for `nest-sim list` ([`knob_names`]).
+
+use std::str::FromStr;
+
+use nest_simcore::time::{format_duration, parse_duration};
 
 use crate::error::ScenarioError;
 
@@ -74,65 +84,179 @@ pub fn parse_spec(kind: &'static str, input: &str) -> Result<ParsedSpec, Scenari
     })
 }
 
-fn bad(param: &str, value: &str, expected: &'static str) -> ScenarioError {
-    ScenarioError::BadValue {
-        param: param.to_string(),
+impl ParsedSpec {
+    /// The entry the parameters apply to, for error messages: the head,
+    /// or `head:member` when a member was given.
+    pub fn entry(&self) -> String {
+        match &self.member {
+            Some(m) => format!("{}:{m}", self.head),
+            None => self.head.clone(),
+        }
+    }
+}
+
+/// How one knob's value is spelled: parsed from the text after `=` and
+/// rendered back so that `parse(render(v)) == Some(v)`.
+pub trait Codec<T> {
+    /// What a well-formed value looks like, for error messages.
+    const EXPECTED: &'static str;
+    /// Parses a value; `None` if it is malformed.
+    fn parse(value: &str) -> Option<T>;
+    /// Renders a value in canonical form.
+    fn render(value: &T) -> String;
+}
+
+/// A non-negative integer (`u32`, `u64`, `usize`).
+pub struct Int;
+
+impl<T: FromStr + ToString> Codec<T> for Int {
+    const EXPECTED: &'static str = "a non-negative integer";
+    fn parse(value: &str) -> Option<T> {
+        value.parse().ok()
+    }
+    fn render(value: &T) -> String {
+        value.to_string()
+    }
+}
+
+/// A finite `f64`, rendered in Rust's shortest round-trip form.
+pub struct Float;
+
+impl Codec<f64> for Float {
+    const EXPECTED: &'static str = "a finite number";
+    fn parse(value: &str) -> Option<f64> {
+        value.parse().ok().filter(|v: &f64| v.is_finite())
+    }
+    fn render(value: &f64) -> String {
+        format!("{value}")
+    }
+}
+
+/// A boolean: `on`/`off`, `true`/`false` or `1`/`0` (any case), rendered
+/// `on`/`off`.
+pub struct OnOff;
+
+/// The spellings of `false` and of `true`; the first is canonical.
+const BOOL_WORDS: [[&str; 3]; 2] = [["off", "false", "0"], ["on", "true", "1"]];
+
+impl Codec<bool> for OnOff {
+    const EXPECTED: &'static str = "on|off";
+    fn parse(value: &str) -> Option<bool> {
+        BOOL_WORDS
+            .iter()
+            .position(|words| words.iter().any(|w| value.eq_ignore_ascii_case(w)))
+            .map(|i| i == 1)
+    }
+    fn render(value: &bool) -> String {
+        BOOL_WORDS[usize::from(*value)][0].to_string()
+    }
+}
+
+/// A nanosecond duration in the shared suffix grammar (`2ms`, `500us`).
+pub struct Dur;
+
+impl Codec<u64> for Dur {
+    const EXPECTED: &'static str = "a duration like 2ms";
+    fn parse(value: &str) -> Option<u64> {
+        parse_duration(value)
+    }
+    fn render(value: &u64) -> String {
+        format_duration(*value)
+    }
+}
+
+/// Parses `value` for knob `key` with codec `C`.
+pub fn parse_knob<T, C: Codec<T>>(key: &str, value: &str) -> Result<T, ScenarioError> {
+    C::parse(value).ok_or_else(|| ScenarioError::BadValue {
+        param: key.to_string(),
         value: value.to_string(),
-        expected,
+        expected: C::EXPECTED,
+    })
+}
+
+/// Renders `value` with codec `C` unless it equals `base`.
+pub fn render_knob<T: PartialEq, C: Codec<T>>(value: &T, base: &T) -> Option<String> {
+    (value != base).then(|| C::render(value))
+}
+
+/// One `key=value` knob of a spec `S`: its key, the field it sets and
+/// the codec that spells it. Build tables with `knobs!`.
+pub struct Knob<S> {
+    /// The key as written before `=`.
+    pub name: &'static str,
+    /// Text shown after the key in `nest-sim list` (e.g. a value shape).
+    pub hint: &'static str,
+    /// Parses a value into its field.
+    pub set: fn(&mut S, &str) -> Result<(), ScenarioError>,
+    /// Renders the field, or `None` when it equals the base's.
+    pub show: fn(&S, &S) -> Option<String>,
+}
+
+/// Declares a knob table: `knobs!(Spec { "key" => field: Codec, … })`.
+/// `"key" + "hint" => …` adds a hint to the key in `nest-sim list`.
+macro_rules! knobs {
+    ($ty:ty { $($key:literal $(+ $hint:literal)? => $field:ident: $codec:ty),* $(,)? }) => {
+        &[$($crate::spec::Knob::<$ty> {
+            name: $key,
+            hint: concat!("" $(, $hint)?),
+            set: |s, v| {
+                s.$field = $crate::spec::parse_knob::<_, $codec>($key, v)?;
+                Ok(())
+            },
+            show: |s, base| $crate::spec::render_knob::<_, $codec>(&s.$field, &base.$field),
+        }),*]
+    };
+}
+pub(crate) use knobs;
+
+/// Applies every parameter of `p` to `s` through `knobs`. A key the
+/// table does not declare is an [`ScenarioError::UnknownParam`] that
+/// lists the table's keys; `kind` names the registry.
+pub fn apply_knobs<S>(
+    kind: &'static str,
+    knobs: &[Knob<S>],
+    p: &ParsedSpec,
+    s: &mut S,
+) -> Result<(), ScenarioError> {
+    for (k, v) in &p.params {
+        let Some(knob) = knobs.iter().find(|knob| knob.name == k) else {
+            return Err(ScenarioError::UnknownParam {
+                kind,
+                entry: p.entry(),
+                param: k.clone(),
+                valid: knobs.iter().map(|knob| knob.name.to_string()).collect(),
+            });
+        };
+        (knob.set)(s, v)?;
     }
+    Ok(())
 }
 
-/// Parses a `u32` parameter value.
-pub fn parse_u32(param: &str, value: &str) -> Result<u32, ScenarioError> {
-    value
-        .parse()
-        .map_err(|_| bad(param, value, "a non-negative integer"))
-}
-
-/// Parses a `u64` parameter value.
-pub fn parse_u64(param: &str, value: &str) -> Result<u64, ScenarioError> {
-    value
-        .parse()
-        .map_err(|_| bad(param, value, "a non-negative integer"))
-}
-
-/// Parses a `usize` parameter value.
-pub fn parse_usize(param: &str, value: &str) -> Result<usize, ScenarioError> {
-    value
-        .parse()
-        .map_err(|_| bad(param, value, "a non-negative integer"))
-}
-
-/// Parses an `f64` parameter value (must be finite).
-pub fn parse_f64(param: &str, value: &str) -> Result<f64, ScenarioError> {
-    value
-        .parse::<f64>()
-        .ok()
-        .filter(|v| v.is_finite())
-        .ok_or_else(|| bad(param, value, "a finite number"))
-}
-
-/// Parses a boolean parameter value: `on`/`off`, `true`/`false`, `1`/`0`.
-pub fn parse_bool(param: &str, value: &str) -> Result<bool, ScenarioError> {
-    match value.to_ascii_lowercase().as_str() {
-        "on" | "true" | "1" => Ok(true),
-        "off" | "false" | "0" => Ok(false),
-        _ => Err(bad(param, value, "on|off")),
+/// Appends `key=value` to `head` for each knob whose value in `s`
+/// differs from `base`, in declaration order: the first after `lead`,
+/// the rest after commas. Values are compared before they are rendered.
+pub fn changed_knobs<S>(head: String, lead: char, knobs: &[Knob<S>], s: &S, base: &S) -> String {
+    let mut out = head;
+    let mut sep = lead;
+    for knob in knobs {
+        if let Some(value) = (knob.show)(s, base) {
+            out.push(sep);
+            out.push_str(knob.name);
+            out.push('=');
+            out.push_str(&value);
+            sep = ',';
+        }
     }
+    out
 }
 
-/// Renders a boolean in canonical `on`/`off` form.
-pub fn fmt_bool(v: bool) -> &'static str {
-    if v {
-        "on"
-    } else {
-        "off"
-    }
-}
-
-/// Renders an `f64` canonically (Rust's shortest round-trip `Display`).
-pub fn fmt_f64(v: f64) -> String {
-    format!("{v}")
+/// The table's keys with their hints, comma-separated, for `nest-sim list`.
+pub fn knob_names<S>(knobs: &[Knob<S>]) -> String {
+    let names: Vec<String> = knobs
+        .iter()
+        .map(|k| format!("{}{}", k.name, k.hint))
+        .collect();
+    names.join(", ")
 }
 
 #[cfg(test)]
@@ -197,19 +321,54 @@ mod tests {
 
     #[test]
     fn value_parsers() {
-        assert_eq!(parse_u32("g", "16").unwrap(), 16);
-        assert!(parse_u32("g", "-1").is_err());
-        assert_eq!(parse_f64("j", "0.5").unwrap(), 0.5);
-        assert!(parse_f64("j", "nan").is_err());
-        assert!(parse_bool("spin", "on").unwrap());
-        assert!(!parse_bool("spin", "0").unwrap());
-        assert!(parse_bool("spin", "maybe").is_err());
+        assert_eq!(parse_knob::<u32, Int>("g", "16").unwrap(), 16);
+        assert!(parse_knob::<u32, Int>("g", "-1").is_err());
+        assert_eq!(parse_knob::<f64, Float>("j", "0.5").unwrap(), 0.5);
+        assert!(parse_knob::<f64, Float>("j", "nan").is_err());
+        assert!(parse_knob::<bool, OnOff>("spin", "on").unwrap());
+        assert!(!parse_knob::<bool, OnOff>("spin", "0").unwrap());
+        assert!(parse_knob::<bool, OnOff>("spin", "TRUE").unwrap());
+        let e = parse_knob::<bool, OnOff>("spin", "maybe").unwrap_err();
+        assert_eq!(e.to_string(), "parameter \"spin\": \"maybe\" is not on|off");
+        assert_eq!(parse_knob::<u64, Dur>("slo", "4ms").unwrap(), 4_000_000);
+        assert!(parse_knob::<u64, Dur>("slo", "4").is_err());
     }
 
     #[test]
     fn canonical_renderers() {
-        assert_eq!(fmt_bool(true), "on");
-        assert_eq!(fmt_f64(3.0), "3");
-        assert_eq!(fmt_f64(0.5), "0.5");
+        assert_eq!(<OnOff as Codec<bool>>::render(&true), "on");
+        assert_eq!(Float::render(&3.0), "3");
+        assert_eq!(Float::render(&0.5), "0.5");
+        assert_eq!(Dur::render(&4_000_000), "4ms");
+        assert_eq!(render_knob::<u32, Int>(&5, &5), None);
+        assert_eq!(render_knob::<u32, Int>(&6, &5).as_deref(), Some("6"));
+    }
+
+    struct Toy {
+        n: u32,
+        on: bool,
+    }
+
+    const TOY: &[Knob<Toy>] = knobs!(Toy { "n" + "=N" => n: Int, "on" => on: OnOff });
+
+    #[test]
+    fn a_table_parses_renders_and_lists() {
+        let base = Toy { n: 1, on: true };
+        let mut t = Toy { n: 1, on: true };
+        let p = parse_spec("toy", "toy:on=off,n=3").unwrap();
+        apply_knobs("toy", TOY, &p, &mut t).unwrap();
+        assert_eq!((t.n, t.on), (3, false));
+        assert_eq!(
+            changed_knobs("toy".into(), ':', TOY, &t, &base),
+            "toy:n=3,on=off"
+        );
+        assert_eq!(changed_knobs("toy".into(), ':', TOY, &base, &base), "toy");
+        assert_eq!(knob_names(TOY), "n=N, on");
+        let p = parse_spec("toy", "toy:x=1").unwrap();
+        let msg = apply_knobs("toy", TOY, &p, &mut t).unwrap_err().to_string();
+        assert_eq!(
+            msg,
+            "unknown parameter \"x\" for toy \"toy\"; valid parameters: n, on"
+        );
     }
 }

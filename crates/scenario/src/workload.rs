@@ -15,18 +15,24 @@
 //!   streams across N independent host simulations with retry/timeout/
 //!   hedging and failover: `fleet:hosts=4,lb=warmth,retry=2+serve:rate=500`.
 //!
-//! Canonical strings list only knobs that differ from the member/suite
-//! base, in declaration order, so equivalent specs share one cache key.
+//! Each suite's knobs, and the fleet's, are declared once, in a table
+//! below (see [`crate::spec`]). Canonical strings list only knobs that
+//! differ from the member/suite base, in declaration order, so
+//! equivalent specs share one cache key.
 
 use nest_serve::{ArrivalKind, ServeSpec, ServiceDist};
-use nest_simcore::time::{format_duration, parse_duration};
+use nest_simcore::time::{format_window, parse_duration, parse_window};
 use nest_workloads::{
-    configure, dacapo, hackbench::HackbenchSpec, nas, phoronix, schbench::SchbenchSpec, server,
-    FleetLoad, FleetSpec, Multi, ServeLoad, Workload,
+    configure, configure::ConfigureSpec, dacapo, dacapo::DacapoSpec, hackbench::HackbenchSpec, nas,
+    nas::NasSpec, phoronix, schbench::SchbenchSpec, server, FleetLoad, FleetSpec, HedgeMode,
+    HostDegrade, HostDown, LbPolicy, Multi, ServeLoad, Workload,
 };
 
 use crate::error::ScenarioError;
-use crate::spec::{fmt_f64, parse_f64, parse_spec, parse_u32, parse_u64, ParsedSpec};
+use crate::spec::{
+    apply_knobs, changed_knobs, knob_names, knobs, parse_knob, parse_spec, Codec, Dur, Float, Int,
+    Knob, OnOff, ParsedSpec,
+};
 
 /// Every suite key, registry order.
 pub fn workload_suites() -> Vec<&'static str> {
@@ -45,52 +51,59 @@ pub fn workload_suites() -> Vec<&'static str> {
 
 /// `(suite key, summary)` pairs for `nest-sim list`.
 pub fn workload_entries() -> Vec<(&'static str, String)> {
+    let members = |suite| suite_members(suite).unwrap().join(", ");
     vec![
         (
             "configure",
             format!(
-                "software-configuration scripts (§5.2); members: {}; knobs: tests, \
-                 shell_ms, test_ms, jitter, chain_prob, burst_prob",
-                suite_members("configure").unwrap().join(", ")
+                "software-configuration scripts (§5.2); members: {}; knobs: {}",
+                members("configure"),
+                knob_names(CONFIGURE)
             ),
         ),
         (
             "dacapo",
             format!(
-                "DaCapo Java applications (§5.3); members: {}; knobs: workers, chunk_ms, \
-                 sleep_ms, work_ms, bg, jitter, burst_chunks, tokens",
-                suite_members("dacapo").unwrap().join(", ")
+                "DaCapo Java applications (§5.3); members: {}; knobs: {}",
+                members("dacapo"),
+                knob_names(DACAPO)
             ),
         ),
         (
             "nas",
             format!(
-                "NAS Parallel Benchmarks (§5.4); members: {}; knobs: iters, chunk_ms, \
-                 jitter, setup_ms",
-                suite_members("nas").unwrap().join(", ")
+                "NAS Parallel Benchmarks (§5.4); members: {}; knobs: {}",
+                members("nas"),
+                knob_names(NAS)
             ),
         ),
         (
             "phoronix",
             format!(
                 "Figure 13 / Table 5 multicore tests (§5.5), no knobs; members: {}",
-                suite_members("phoronix").unwrap().join(", ")
+                members("phoronix")
             ),
         ),
         (
             "hackbench",
-            "scheduler message-churn stress (§5.6); knobs: g, fan, loops, msg_cycles".to_string(),
+            format!(
+                "scheduler message-churn stress (§5.6); knobs: {}",
+                knob_names(HACKBENCH)
+            ),
         ),
         (
             "schbench",
-            "wakeup-latency microbenchmark (§5.6); knobs: mt, w, requests, think_ms".to_string(),
+            format!(
+                "wakeup-latency microbenchmark (§5.6); knobs: {}",
+                knob_names(SCHBENCH)
+            ),
         ),
         (
             "serve",
-            "open-loop request serving with a tail-latency/SLO lens; knobs: rate, \
-             requests, dist, service, sigma, heavy, p_heavy, fanout, arrival, burst, \
-             on, off, ramp, amp, slo"
-                .to_string(),
+            format!(
+                "open-loop request serving with a tail-latency/SLO lens; knobs: {}",
+                knob_names(SERVE)
+            ),
         ),
         (
             "server",
@@ -100,12 +113,178 @@ pub fn workload_entries() -> Vec<(&'static str, String)> {
         ),
         (
             "fleet",
-            "multi-host front-end prefix (fleet:<knobs>+<workload with serve parts>); \
-             knobs: hosts, lb (rr|leastq|warmth), retry, timeout, backoff, cap, \
-             hedge (off|p95|<dur>), shed, hostdown=K@T[:D], degrade=hK:F@T[:D]"
-                .to_string(),
+            format!(
+                "multi-host front-end prefix (fleet:<knobs>+<workload with serve parts>); \
+                 knobs: {}",
+                knob_names(FLEET)
+            ),
         ),
     ]
+}
+
+const CONFIGURE: &[Knob<ConfigureSpec>] = knobs!(ConfigureSpec {
+    "tests" => n_tests: Int,
+    "shell_ms" => shell_ms: Float,
+    "test_ms" => test_ms: Float,
+    "jitter" => jitter: Float,
+    "chain_prob" => chain_prob: Float,
+    "burst_prob" => burst_prob: Float,
+});
+
+const DACAPO: &[Knob<DacapoSpec>] = knobs!(DacapoSpec {
+    "workers" => workers: Int,
+    "chunk_ms" => chunk_ms: Float,
+    "sleep_ms" => sleep_ms: Float,
+    "work_ms" => work_per_worker_ms: Float,
+    "bg" => background_threads: Int,
+    "jitter" => jitter: Float,
+    "burst_chunks" => burst_chunks: Int,
+    "tokens" => queue_tokens: Int,
+});
+
+const NAS: &[Knob<NasSpec>] = knobs!(NasSpec {
+    "iters" => iterations: Int,
+    "chunk_ms" => chunk_ms_at_64: Float,
+    "jitter" => jitter: Float,
+    "setup_ms" => setup_ms: Float,
+});
+
+const HACKBENCH: &[Knob<HackbenchSpec>] = knobs!(HackbenchSpec {
+    "g" => groups: Int,
+    "fan" => fan: Int,
+    "loops" => loops: Int,
+    "msg_cycles" => msg_cycles: Int,
+});
+
+const SCHBENCH: &[Knob<SchbenchSpec>] = knobs!(SchbenchSpec {
+    "mt" => message_threads: Int,
+    "w" => workers_per_message: Int,
+    "requests" => requests_per_worker: Int,
+    "think_ms" => think_ms: Float,
+});
+
+const SERVE: &[Knob<ServeSpec>] = knobs!(ServeSpec {
+    "rate" => rate: Float,
+    "requests" => requests: Int,
+    "dist" => dist: ServiceDist,
+    "service" => service_ms: Float,
+    "sigma" => sigma: Float,
+    "heavy" => heavy_ms: Float,
+    "p_heavy" => p_heavy: Float,
+    "fanout" => fanout: Int,
+    "arrival" => arrival: ArrivalKind,
+    "burst" => burst: Float,
+    "on" => on_ms: Float,
+    "off" => off_ms: Float,
+    "ramp" => ramp_s: Float,
+    "amp" => amp: Float,
+    "slo" => slo_ns: Dur,
+});
+
+const FLEET: &[Knob<FleetSpec>] = knobs!(FleetSpec {
+    "hosts" => hosts: Int,
+    "lb" + " (rr|leastq|warmth)" => lb: LbPolicy,
+    "retry" => retry: Int,
+    "timeout" => timeout_ns: Dur,
+    "backoff" => backoff_ns: Dur,
+    "cap" => cap_ns: Dur,
+    "hedge" + " (off|p95|<dur>)" => hedge: HedgeMode,
+    "shed" => shed: OnOff,
+    "hostdown" + "=K@T[:D]" => down: HostDown,
+    "degrade" + "=hK:F@T[:D]" => degrade: HostDegrade,
+});
+
+/// Codecs for enums spelled by their registry keys.
+macro_rules! key_codecs {
+    ($($ty:ty: $expected:literal),* $(,)?) => {$(
+        impl Codec<$ty> for $ty {
+            const EXPECTED: &'static str = $expected;
+            fn parse(value: &str) -> Option<$ty> {
+                <$ty>::from_key(value)
+            }
+            fn render(value: &$ty) -> String {
+                value.key().to_string()
+            }
+        }
+    )*};
+}
+
+key_codecs!(
+    ServiceDist: "one of det|exp|lognorm|bimodal",
+    ArrivalKind: "one of poisson|onoff",
+    LbPolicy: "one of rr|leastq|warmth",
+);
+
+/// `hedge=off|p95|<dur>`.
+impl Codec<HedgeMode> for HedgeMode {
+    const EXPECTED: &'static str = "off, p95 or a duration like 10ms";
+    fn parse(value: &str) -> Option<HedgeMode> {
+        match value {
+            "off" => Some(HedgeMode::Off),
+            "p95" => Some(HedgeMode::P95),
+            _ => parse_duration(value).map(HedgeMode::After),
+        }
+    }
+    fn render(value: &HedgeMode) -> String {
+        match value {
+            HedgeMode::Off => "off".to_string(),
+            HedgeMode::P95 => "p95".to_string(),
+            HedgeMode::After(ns) => Dur::render(ns),
+        }
+    }
+}
+
+/// `hostdown=K@TIME[:DUR]`: at least one host, a positive window.
+impl Codec<Option<HostDown>> for HostDown {
+    const EXPECTED: &'static str = "K@TIME[:DUR] with K >= 1 and DUR > 0, e.g. 1@250ms:250ms";
+    fn parse(value: &str) -> Option<Option<HostDown>> {
+        let (count, window) = value.split_once('@')?;
+        let count = count.parse().ok().filter(|&k| k > 0)?;
+        let (at_ns, dur_ns) = parse_window(window).ok()?;
+        Some(Some(HostDown {
+            count,
+            at_ns,
+            dur_ns,
+        }))
+    }
+    fn render(value: &Option<HostDown>) -> String {
+        value.as_ref().map_or(String::new(), |d| {
+            format!("{}@{}", d.count, format_window(d.at_ns, d.dur_ns))
+        })
+    }
+}
+
+/// `degrade=hK:F@TIME[:DUR]`, several clauses joined with `;`.
+impl Codec<Vec<HostDegrade>> for HostDegrade {
+    const EXPECTED: &'static str =
+        "hK:F@TIME[:DUR] clauses joined by ';' with F in (0, 1] and DUR > 0, e.g. h1:0.5@200ms:300ms";
+    fn parse(value: &str) -> Option<Vec<HostDegrade>> {
+        value
+            .split(';')
+            .map(|clause| {
+                let (host, rest) = clause.strip_prefix('h')?.split_once(':')?;
+                let (factor, window) = rest.split_once('@')?;
+                let factor = factor.parse().ok().filter(|f| *f > 0.0 && *f <= 1.0)?;
+                let (at_ns, dur_ns) = parse_window(window).ok()?;
+                Some(HostDegrade {
+                    host: host.parse().ok()?,
+                    factor,
+                    at_ns,
+                    dur_ns,
+                })
+            })
+            .collect()
+    }
+    fn render(value: &Vec<HostDegrade>) -> String {
+        let clauses: Vec<String> = value
+            .iter()
+            .map(|d| {
+                let window = format_window(d.at_ns, d.dur_ns);
+                format!("h{}:{}@{window}", d.host, d.factor)
+            })
+            .collect();
+        clauses.join(";")
+    }
 }
 
 /// The member names of a member-selecting suite (`configure`, `dacapo`,
@@ -175,11 +354,11 @@ impl ServerKind {
 #[derive(Clone, Debug)]
 pub enum WorkloadSpec {
     /// A §5.2 configure benchmark.
-    Configure(configure::ConfigureSpec),
+    Configure(ConfigureSpec),
     /// A §5.3 DaCapo application.
-    Dacapo(dacapo::DacapoSpec),
+    Dacapo(DacapoSpec),
     /// A §5.4 NAS kernel.
-    Nas(nas::NasSpec),
+    Nas(NasSpec),
     /// A §5.5 Phoronix test.
     Phoronix(phoronix::PhoronixSpec),
     /// The §5.6 hackbench stress.
@@ -223,217 +402,94 @@ fn require_member(p: &ParsedSpec, spec: &str) -> Result<String, ScenarioError> {
         })
 }
 
-const CONFIGURE_PARAMS: [&str; 6] = [
-    "tests",
-    "shell_ms",
-    "test_ms",
-    "jitter",
-    "chain_prob",
-    "burst_prob",
-];
-const DACAPO_PARAMS: [&str; 8] = [
-    "workers",
-    "chunk_ms",
-    "sleep_ms",
-    "work_ms",
-    "bg",
-    "jitter",
-    "burst_chunks",
-    "tokens",
-];
-const NAS_PARAMS: [&str; 4] = ["iters", "chunk_ms", "jitter", "setup_ms"];
-const HACKBENCH_PARAMS: [&str; 4] = ["g", "fan", "loops", "msg_cycles"];
-const SCHBENCH_PARAMS: [&str; 4] = ["mt", "w", "requests", "think_ms"];
-const SERVE_PARAMS: [&str; 15] = [
-    "rate", "requests", "dist", "service", "sigma", "heavy", "p_heavy", "fanout", "arrival",
-    "burst", "on", "off", "ramp", "amp", "slo",
-];
+/// A member suite's spec: the named member (`what` names the registry
+/// in errors) with `p`'s knobs applied.
+fn member_spec<S>(
+    p: &ParsedSpec,
+    input: &str,
+    what: &'static str,
+    by_name: fn(&str) -> Option<S>,
+    knobs: &[Knob<S>],
+) -> Result<S, ScenarioError> {
+    let member = require_member(p, input)?;
+    let mut s = by_name(&member).ok_or_else(|| unknown_member(what, &member, &p.head))?;
+    apply_knobs("workload", knobs, p, &mut s)?;
+    Ok(s)
+}
 
-fn bad_value(param: &str, value: &str, expected: &'static str) -> ScenarioError {
-    ScenarioError::BadValue {
-        param: param.to_string(),
-        value: value.to_string(),
-        expected,
+/// A member-less suite's spec: the defaults with `p`'s knobs applied.
+fn bare_spec<S: Default>(
+    p: &ParsedSpec,
+    input: &str,
+    knobs: &[Knob<S>],
+) -> Result<S, ScenarioError> {
+    if p.member.is_some() {
+        return Err(ScenarioError::MalformedSpec {
+            spec: input.trim().to_string(),
+            reason: format!("{} has no members (parameters are key=value)", p.head),
+        });
     }
+    let mut s = S::default();
+    apply_knobs("workload", knobs, p, &mut s)?;
+    Ok(s)
 }
 
 fn parse_single(input: &str) -> Result<WorkloadSpec, ScenarioError> {
     let p = parse_spec("workload", input)?;
-    match p.head.as_str() {
-        "configure" => {
-            let member = require_member(&p, input)?;
-            let mut s = configure::by_name(&member)
-                .ok_or_else(|| unknown_member("configure benchmark", &member, "configure"))?;
-            for (k, v) in &p.params {
-                match k.as_str() {
-                    "tests" => s.n_tests = parse_u32(k, v)?,
-                    "shell_ms" => s.shell_ms = parse_f64(k, v)?,
-                    "test_ms" => s.test_ms = parse_f64(k, v)?,
-                    "jitter" => s.jitter = parse_f64(k, v)?,
-                    "chain_prob" => s.chain_prob = parse_f64(k, v)?,
-                    "burst_prob" => s.burst_prob = parse_f64(k, v)?,
-                    _ => {
-                        return Err(unknown_param(
-                            &format!("configure:{member}"),
-                            k,
-                            &CONFIGURE_PARAMS,
-                        ))
-                    }
-                }
-            }
-            Ok(WorkloadSpec::Configure(s))
-        }
-        "dacapo" => {
-            let member = require_member(&p, input)?;
-            let mut s = dacapo::by_name(&member)
-                .ok_or_else(|| unknown_member("dacapo application", &member, "dacapo"))?;
-            for (k, v) in &p.params {
-                match k.as_str() {
-                    "workers" => s.workers = parse_u32(k, v)?,
-                    "chunk_ms" => s.chunk_ms = parse_f64(k, v)?,
-                    "sleep_ms" => s.sleep_ms = parse_f64(k, v)?,
-                    "work_ms" => s.work_per_worker_ms = parse_f64(k, v)?,
-                    "bg" => s.background_threads = parse_u32(k, v)?,
-                    "jitter" => s.jitter = parse_f64(k, v)?,
-                    "burst_chunks" => s.burst_chunks = parse_u32(k, v)?,
-                    "tokens" => s.queue_tokens = parse_u32(k, v)?,
-                    _ => {
-                        return Err(unknown_param(
-                            &format!("dacapo:{member}"),
-                            k,
-                            &DACAPO_PARAMS,
-                        ))
-                    }
-                }
-            }
-            Ok(WorkloadSpec::Dacapo(s))
-        }
-        "nas" => {
-            let member = require_member(&p, input)?;
-            let mut s = nas::by_name(&member)
-                .ok_or_else(|| unknown_member("nas kernel", &member, "nas"))?;
-            for (k, v) in &p.params {
-                match k.as_str() {
-                    "iters" => s.iterations = parse_u32(k, v)?,
-                    "chunk_ms" => s.chunk_ms_at_64 = parse_f64(k, v)?,
-                    "jitter" => s.jitter = parse_f64(k, v)?,
-                    "setup_ms" => s.setup_ms = parse_f64(k, v)?,
-                    _ => return Err(unknown_param(&format!("nas:{member}"), k, &NAS_PARAMS)),
-                }
-            }
-            Ok(WorkloadSpec::Nas(s))
-        }
-        "phoronix" => {
-            let member = require_member(&p, input)?;
-            let s = phoronix::by_name(&member)
-                .ok_or_else(|| unknown_member("phoronix test", &member, "phoronix"))?;
-            if let Some((k, _)) = p.params.first() {
-                return Err(unknown_param(&format!("phoronix:{member}"), k, &[]));
-            }
-            Ok(WorkloadSpec::Phoronix(s))
-        }
-        "hackbench" => {
-            if p.member.is_some() {
-                return Err(ScenarioError::MalformedSpec {
-                    spec: input.trim().to_string(),
-                    reason: "hackbench has no members (parameters are key=value)".into(),
-                });
-            }
-            let mut s = HackbenchSpec::default();
-            for (k, v) in &p.params {
-                match k.as_str() {
-                    "g" => s.groups = parse_u32(k, v)?,
-                    "fan" => s.fan = parse_u32(k, v)?,
-                    "loops" => s.loops = parse_u32(k, v)?,
-                    "msg_cycles" => s.msg_cycles = parse_u64(k, v)?,
-                    _ => return Err(unknown_param("hackbench", k, &HACKBENCH_PARAMS)),
-                }
-            }
-            Ok(WorkloadSpec::Hackbench(s))
-        }
-        "schbench" => {
-            if p.member.is_some() {
-                return Err(ScenarioError::MalformedSpec {
-                    spec: input.trim().to_string(),
-                    reason: "schbench has no members (parameters are key=value)".into(),
-                });
-            }
-            let mut s = SchbenchSpec::default();
-            for (k, v) in &p.params {
-                match k.as_str() {
-                    "mt" => s.message_threads = parse_u32(k, v)?,
-                    "w" => s.workers_per_message = parse_u32(k, v)?,
-                    "requests" => s.requests_per_worker = parse_u32(k, v)?,
-                    "think_ms" => s.think_ms = parse_f64(k, v)?,
-                    _ => return Err(unknown_param("schbench", k, &SCHBENCH_PARAMS)),
-                }
-            }
-            Ok(WorkloadSpec::Schbench(s))
-        }
+    let malformed = |reason: String| ScenarioError::MalformedSpec {
+        spec: input.trim().to_string(),
+        reason,
+    };
+    Ok(match p.head.as_str() {
+        "configure" => WorkloadSpec::Configure(member_spec(
+            &p,
+            input,
+            "configure benchmark",
+            configure::by_name,
+            CONFIGURE,
+        )?),
+        "dacapo" => WorkloadSpec::Dacapo(member_spec(
+            &p,
+            input,
+            "dacapo application",
+            dacapo::by_name,
+            DACAPO,
+        )?),
+        "nas" => WorkloadSpec::Nas(member_spec(&p, input, "nas kernel", nas::by_name, NAS)?),
+        "phoronix" => WorkloadSpec::Phoronix(member_spec(
+            &p,
+            input,
+            "phoronix test",
+            phoronix::by_name,
+            &[],
+        )?),
+        "hackbench" => WorkloadSpec::Hackbench(bare_spec(&p, input, HACKBENCH)?),
+        "schbench" => WorkloadSpec::Schbench(bare_spec(&p, input, SCHBENCH)?),
         "serve" => {
-            if p.member.is_some() {
-                return Err(ScenarioError::MalformedSpec {
-                    spec: input.trim().to_string(),
-                    reason: "serve has no members (parameters are key=value)".into(),
-                });
-            }
-            let mut s = ServeSpec::default();
-            for (k, v) in &p.params {
-                match k.as_str() {
-                    "rate" => s.rate = parse_f64(k, v)?,
-                    "requests" => s.requests = parse_u32(k, v)?,
-                    "dist" => {
-                        s.dist = ServiceDist::from_key(v)
-                            .ok_or_else(|| bad_value(k, v, "one of det|exp|lognorm|bimodal"))?
-                    }
-                    "service" => s.service_ms = parse_f64(k, v)?,
-                    "sigma" => s.sigma = parse_f64(k, v)?,
-                    "heavy" => s.heavy_ms = parse_f64(k, v)?,
-                    "p_heavy" => s.p_heavy = parse_f64(k, v)?,
-                    "fanout" => s.fanout = parse_u32(k, v)?,
-                    "arrival" => {
-                        s.arrival = ArrivalKind::from_key(v)
-                            .ok_or_else(|| bad_value(k, v, "one of poisson|onoff"))?
-                    }
-                    "burst" => s.burst = parse_f64(k, v)?,
-                    "on" => s.on_ms = parse_f64(k, v)?,
-                    "off" => s.off_ms = parse_f64(k, v)?,
-                    "ramp" => s.ramp_s = parse_f64(k, v)?,
-                    "amp" => s.amp = parse_f64(k, v)?,
-                    "slo" => {
-                        s.slo_ns = parse_duration(v)
-                            .ok_or_else(|| bad_value(k, v, "a duration like 2ms"))?
-                    }
-                    _ => return Err(unknown_param("serve", k, &SERVE_PARAMS)),
-                }
-            }
-            s.validate()
-                .map_err(|reason| ScenarioError::MalformedSpec {
-                    spec: input.trim().to_string(),
-                    reason,
-                })?;
-            Ok(WorkloadSpec::Serve(s))
+            let s: ServeSpec = bare_spec(&p, input, SERVE)?;
+            s.validate().map_err(malformed)?;
+            WorkloadSpec::Serve(s)
         }
-        "fleet" => Err(ScenarioError::MalformedSpec {
-            spec: input.trim().to_string(),
-            reason: "fleet is a front-end prefix and must come first, followed by the \
-                     workload it routes, e.g. \"fleet:hosts=4,lb=warmth+serve:rate=500\""
-                .into(),
-        }),
+        "fleet" => {
+            return Err(malformed(
+                "fleet is a front-end prefix and must come first, followed by the \
+                 workload it routes, e.g. \"fleet:hosts=4,lb=warmth+serve:rate=500\""
+                    .into(),
+            ))
+        }
         "server" => {
             let member = require_member(&p, input)?;
             let mut c: Option<u32> = None;
             for (k, v) in &p.params {
                 match k.as_str() {
-                    "c" => c = Some(parse_u32(k, v)?),
-                    _ => return Err(unknown_param(&format!("server:{member}"), k, &["c"])),
+                    "c" => c = Some(parse_knob::<_, Int>(k, v)?),
+                    _ => return Err(unknown_param(&p.entry(), k, &["c"])),
                 }
             }
             let kind = match member.as_str() {
                 "nginx" | "apache" => {
-                    let c = c.ok_or_else(|| ScenarioError::MalformedSpec {
-                        spec: input.trim().to_string(),
-                        reason: format!("server:{member} requires c=<concurrency>"),
+                    let c = c.ok_or_else(|| {
+                        malformed(format!("server:{member} requires c=<concurrency>"))
                     })?;
                     if member == "nginx" {
                         ServerKind::Nginx(c)
@@ -443,7 +499,7 @@ fn parse_single(input: &str) -> Result<WorkloadSpec, ScenarioError> {
                 }
                 "leveldb" | "redis" => {
                     if c.is_some() {
-                        return Err(unknown_param(&format!("server:{member}"), "c", &[]));
+                        return Err(unknown_param(&p.entry(), "c", &[]));
                     }
                     if member == "leveldb" {
                         ServerKind::Leveldb
@@ -453,14 +509,16 @@ fn parse_single(input: &str) -> Result<WorkloadSpec, ScenarioError> {
                 }
                 _ => return Err(unknown_member("server test", &member, "server")),
             };
-            Ok(WorkloadSpec::Server(kind))
+            WorkloadSpec::Server(kind)
         }
-        _ => Err(ScenarioError::UnknownEntry {
-            kind: "workload suite",
-            name: p.head,
-            valid: workload_suites().iter().map(|k| k.to_string()).collect(),
-        }),
-    }
+        _ => {
+            return Err(ScenarioError::UnknownEntry {
+                kind: "workload suite",
+                name: p.head,
+                valid: workload_suites().iter().map(|k| k.to_string()).collect(),
+            })
+        }
+    })
 }
 
 /// Parses a workload spec string; `+` at the top level combines several
@@ -490,12 +548,8 @@ fn parse_fleet(input: &str, p: &ParsedSpec, rest: &[&str]) -> Result<WorkloadSpe
         spec: input.trim().to_string(),
         reason,
     };
-    if p.member.is_some() {
-        return Err(malformed(
-            "fleet has no members (parameters are key=value)".into(),
-        ));
-    }
-    let spec = FleetSpec::from_params(&p.params).map_err(|e| malformed(e.to_string()))?;
+    let spec: FleetSpec = bare_spec(p, input, FLEET)?;
+    spec.validate().map_err(malformed)?;
     let inner = if rest.len() == 1 {
         parse_single(rest[0])?
     } else {
@@ -520,150 +574,33 @@ pub fn canonical_workload(input: &str) -> Result<String, ScenarioError> {
     Ok(parse_workload(input)?.canonical())
 }
 
-fn push_if_ne_f64(parts: &mut Vec<String>, key: &str, v: f64, base: f64) {
-    if v != base {
-        parts.push(format!("{key}={}", fmt_f64(v)));
-    }
-}
-
-fn push_if_ne_u32(parts: &mut Vec<String>, key: &str, v: u32, base: u32) {
-    if v != base {
-        parts.push(format!("{key}={v}"));
-    }
-}
-
-fn render(head: String, parts: Vec<String>) -> String {
-    if parts.is_empty() {
-        head
-    } else {
-        format!("{head},{}", parts.join(","))
-    }
-}
-
-/// Like [`render`], but for the member-less suites, whose first knob
-/// attaches with `:` rather than `,`.
-fn render_bare(head: &str, parts: Vec<String>) -> String {
-    if parts.is_empty() {
-        head.to_string()
-    } else {
-        format!("{head}:{}", parts.join(","))
-    }
-}
-
 impl WorkloadSpec {
     /// The canonical spec string: suite key, member, and only the knobs
     /// that differ from the member/suite base, in declaration order.
     pub fn canonical(&self) -> String {
+        const MEMBER: &str = "member came from the registry";
         match self {
             WorkloadSpec::Configure(s) => {
-                let base = configure::by_name(s.name).expect("member came from the registry");
-                let mut parts = Vec::new();
-                push_if_ne_u32(&mut parts, "tests", s.n_tests, base.n_tests);
-                push_if_ne_f64(&mut parts, "shell_ms", s.shell_ms, base.shell_ms);
-                push_if_ne_f64(&mut parts, "test_ms", s.test_ms, base.test_ms);
-                push_if_ne_f64(&mut parts, "jitter", s.jitter, base.jitter);
-                push_if_ne_f64(&mut parts, "chain_prob", s.chain_prob, base.chain_prob);
-                push_if_ne_f64(&mut parts, "burst_prob", s.burst_prob, base.burst_prob);
-                render(format!("configure:{}", s.name), parts)
+                let base = configure::by_name(s.name).expect(MEMBER);
+                changed_knobs(format!("configure:{}", s.name), ',', CONFIGURE, s, &base)
             }
             WorkloadSpec::Dacapo(s) => {
-                let base = dacapo::by_name(s.name).expect("member came from the registry");
-                let mut parts = Vec::new();
-                push_if_ne_u32(&mut parts, "workers", s.workers, base.workers);
-                push_if_ne_f64(&mut parts, "chunk_ms", s.chunk_ms, base.chunk_ms);
-                push_if_ne_f64(&mut parts, "sleep_ms", s.sleep_ms, base.sleep_ms);
-                push_if_ne_f64(
-                    &mut parts,
-                    "work_ms",
-                    s.work_per_worker_ms,
-                    base.work_per_worker_ms,
-                );
-                push_if_ne_u32(
-                    &mut parts,
-                    "bg",
-                    s.background_threads,
-                    base.background_threads,
-                );
-                push_if_ne_f64(&mut parts, "jitter", s.jitter, base.jitter);
-                push_if_ne_u32(
-                    &mut parts,
-                    "burst_chunks",
-                    s.burst_chunks,
-                    base.burst_chunks,
-                );
-                push_if_ne_u32(&mut parts, "tokens", s.queue_tokens, base.queue_tokens);
-                render(format!("dacapo:{}", s.name), parts)
+                let base = dacapo::by_name(s.name).expect(MEMBER);
+                changed_knobs(format!("dacapo:{}", s.name), ',', DACAPO, s, &base)
             }
             WorkloadSpec::Nas(s) => {
-                let base = nas::by_name(s.name).expect("member came from the registry");
-                let mut parts = Vec::new();
-                push_if_ne_u32(&mut parts, "iters", s.iterations, base.iterations);
-                push_if_ne_f64(
-                    &mut parts,
-                    "chunk_ms",
-                    s.chunk_ms_at_64,
-                    base.chunk_ms_at_64,
-                );
-                push_if_ne_f64(&mut parts, "jitter", s.jitter, base.jitter);
-                push_if_ne_f64(&mut parts, "setup_ms", s.setup_ms, base.setup_ms);
-                render(format!("nas:{}", s.name), parts)
+                let base = nas::by_name(s.name).expect(MEMBER);
+                changed_knobs(format!("nas:{}", s.name), ',', NAS, s, &base)
             }
             WorkloadSpec::Phoronix(s) => format!("phoronix:{}", s.name),
             WorkloadSpec::Hackbench(s) => {
-                let base = HackbenchSpec::default();
-                let mut parts = Vec::new();
-                push_if_ne_u32(&mut parts, "g", s.groups, base.groups);
-                push_if_ne_u32(&mut parts, "fan", s.fan, base.fan);
-                push_if_ne_u32(&mut parts, "loops", s.loops, base.loops);
-                if s.msg_cycles != base.msg_cycles {
-                    parts.push(format!("msg_cycles={}", s.msg_cycles));
-                }
-                render_bare("hackbench", parts)
+                changed_knobs("hackbench".into(), ':', HACKBENCH, s, &Default::default())
             }
             WorkloadSpec::Schbench(s) => {
-                let base = SchbenchSpec::default();
-                let mut parts = Vec::new();
-                push_if_ne_u32(&mut parts, "mt", s.message_threads, base.message_threads);
-                push_if_ne_u32(
-                    &mut parts,
-                    "w",
-                    s.workers_per_message,
-                    base.workers_per_message,
-                );
-                push_if_ne_u32(
-                    &mut parts,
-                    "requests",
-                    s.requests_per_worker,
-                    base.requests_per_worker,
-                );
-                push_if_ne_f64(&mut parts, "think_ms", s.think_ms, base.think_ms);
-                render_bare("schbench", parts)
+                changed_knobs("schbench".into(), ':', SCHBENCH, s, &Default::default())
             }
             WorkloadSpec::Serve(s) => {
-                let base = ServeSpec::default();
-                let mut parts = Vec::new();
-                push_if_ne_f64(&mut parts, "rate", s.rate, base.rate);
-                push_if_ne_u32(&mut parts, "requests", s.requests, base.requests);
-                if s.dist != base.dist {
-                    parts.push(format!("dist={}", s.dist.key()));
-                }
-                push_if_ne_f64(&mut parts, "service", s.service_ms, base.service_ms);
-                push_if_ne_f64(&mut parts, "sigma", s.sigma, base.sigma);
-                push_if_ne_f64(&mut parts, "heavy", s.heavy_ms, base.heavy_ms);
-                push_if_ne_f64(&mut parts, "p_heavy", s.p_heavy, base.p_heavy);
-                push_if_ne_u32(&mut parts, "fanout", s.fanout, base.fanout);
-                if s.arrival != base.arrival {
-                    parts.push(format!("arrival={}", s.arrival.key()));
-                }
-                push_if_ne_f64(&mut parts, "burst", s.burst, base.burst);
-                push_if_ne_f64(&mut parts, "on", s.on_ms, base.on_ms);
-                push_if_ne_f64(&mut parts, "off", s.off_ms, base.off_ms);
-                push_if_ne_f64(&mut parts, "ramp", s.ramp_s, base.ramp_s);
-                push_if_ne_f64(&mut parts, "amp", s.amp, base.amp);
-                if s.slo_ns != base.slo_ns {
-                    parts.push(format!("slo={}", format_duration(s.slo_ns)));
-                }
-                render_bare("serve", parts)
+                changed_knobs("serve".into(), ':', SERVE, s, &Default::default())
             }
             WorkloadSpec::Server(kind) => match kind {
                 ServerKind::Nginx(c) => format!("server:nginx,c={c}"),
@@ -677,7 +614,8 @@ impl WorkloadSpec {
                 .collect::<Vec<_>>()
                 .join("+"),
             WorkloadSpec::Fleet(f, inner) => {
-                format!("{}+{}", f.canonical(), inner.canonical())
+                let fleet = changed_knobs("fleet".into(), ':', FLEET, f, &Default::default());
+                format!("{fleet}+{}", inner.canonical())
             }
         }
     }
@@ -973,6 +911,93 @@ mod tests {
             .unwrap_err()
             .to_string();
         assert!(msg.contains("no members"), "{msg}");
+    }
+
+    fn fleet(input: &str) -> FleetSpec {
+        match parse_workload(input).unwrap() {
+            WorkloadSpec::Fleet(f, _) => f,
+            other => panic!("expected Fleet, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn fleet_defaults_render_bare() {
+        assert_eq!(fleet("fleet+serve"), FleetSpec::default());
+        assert_eq!(canonical_workload("fleet+serve").unwrap(), "fleet+serve");
+    }
+
+    #[test]
+    fn fleet_full_spec_round_trips() {
+        let input = "fleet:hosts=4,lb=warmth,retry=2,timeout=50ms,hedge=p95,shed=on,\
+                     hostdown=1@250ms:250ms,degrade=h1:0.5@200ms:300ms+serve";
+        let s = fleet(input);
+        assert_eq!(s.hosts, 4);
+        assert_eq!(s.lb, LbPolicy::Warmth);
+        assert_eq!(s.retry, 2);
+        assert_eq!(s.hedge, HedgeMode::P95);
+        assert!(s.shed);
+        let d = s.down.as_ref().unwrap();
+        assert_eq!(
+            (d.count, d.at_ns, d.dur_ns),
+            (1, 250_000_000, Some(250_000_000))
+        );
+        assert_eq!(s.degrade.len(), 1);
+        assert_eq!(s.degrade[0].host, 1);
+        assert_eq!(s.degrade[0].factor, 0.5);
+        // timeout=50ms is the default, so it canonicalizes away.
+        let canonical = "fleet:hosts=4,lb=warmth,retry=2,hedge=p95,shed=on,\
+                         hostdown=1@250ms:250ms,degrade=h1:0.5@200ms:300ms+serve";
+        assert_eq!(canonical_workload(input).unwrap(), canonical);
+        assert_eq!(fleet(canonical), s);
+    }
+
+    #[test]
+    fn fleet_hedge_accepts_fixed_delay() {
+        assert_eq!(
+            fleet("fleet:hedge=10ms+serve").hedge,
+            HedgeMode::After(10_000_000)
+        );
+        assert_eq!(
+            canonical_workload("fleet:hedge=10ms+serve").unwrap(),
+            "fleet:hedge=10ms+serve"
+        );
+    }
+
+    #[test]
+    fn fleet_multiple_degrade_clauses_join_with_semicolon() {
+        let input = "fleet:hosts=3,degrade=h1:0.5@200ms;h2:0.8@100ms:50ms+serve";
+        assert_eq!(fleet(input).degrade.len(), 2);
+        assert_eq!(canonical_workload(input).unwrap(), input);
+    }
+
+    #[test]
+    fn fleet_knobs_reject_bad_values() {
+        for (knobs, needle) in [
+            ("hosts=0", "1..="),
+            ("hosts=99", "1..="),
+            ("retry=11", "at most 10"),
+            ("timeout=0ms", "positive"),
+            ("timeout=50", "a duration like 2ms"),
+            ("cap=1us", "at least the backoff base"),
+            ("lb=random", "rr|leastq|warmth"),
+            ("hedge=sometimes", "off, p95 or a duration"),
+            ("shed=maybe", "on|off"),
+            ("hostdown=2@1ms", "at least one host alive"),
+            ("hostdown=0@1ms", "K >= 1"),
+            ("hostdown=1@50ms:0ms", "DUR > 0"),
+            ("degrade=h7:0.5@1ms", "does not exist"),
+            ("degrade=h0:1.5@1ms", "(0, 1]"),
+            ("degrade=h0:0.5@1ms:0ms", "DUR > 0"),
+            ("frobnicate=1", "unknown parameter"),
+        ] {
+            let e = parse_workload(&format!("fleet:{knobs}+serve")).unwrap_err();
+            assert!(e.to_string().contains(needle), "{knobs}: {e}");
+        }
+        // `shed` takes the shared boolean spelling; it renders `on`.
+        assert_eq!(
+            canonical_workload("fleet:shed=true+serve").unwrap(),
+            "fleet:shed=on+serve"
+        );
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! nanosecond counts; the constants [`NANOSEC`], [`MICROSEC`], [`MILLISEC`],
 //! [`SEC`], and [`TICK_NS`] make call sites readable, and
 //! [`parse_duration`]/[`format_duration`] are the one text form of a
-//! duration that every spec grammar (faults, fleets, serving) shares.
+//! duration that every spec grammar (faults, fleets, serving) shares;
+//! [`parse_window`]/[`format_window`] are the one `TIME[:DUR]` window.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
@@ -54,6 +55,30 @@ pub fn format_duration(ns: u64) -> String {
         }
     }
     format!("{ns}ns")
+}
+
+/// Parses a `TIME[:DUR]` window: an onset and, when given, a positive
+/// length (`"50ms"`, `"50ms:100ms"`). The error names the part at fault.
+pub fn parse_window(s: &str) -> Result<(u64, Option<u64>), String> {
+    let dur = |d: &str| {
+        parse_duration(d)
+            .ok_or_else(|| format!("\"{}\" is not a duration (e.g. 50ms, 2s)", d.trim()))
+    };
+    let Some((at, len)) = s.split_once(':') else {
+        return Ok((dur(s)?, None));
+    };
+    match (dur(at)?, dur(len)?) {
+        (_, 0) => Err("window length must be positive".to_string()),
+        (at, len) => Ok((at, Some(len))),
+    }
+}
+
+/// Renders a window as [`parse_window`] reads it: `TIME` or `TIME:DUR`.
+pub fn format_window(at_ns: u64, dur_ns: Option<u64>) -> String {
+    match dur_ns {
+        Some(d) => format!("{}:{}", format_duration(at_ns), format_duration(d)),
+        None => format_duration(at_ns),
+    }
 }
 
 /// An instant in simulated time, in nanoseconds since simulation start.
@@ -204,6 +229,27 @@ mod tests {
         for bad in ["", "2", "ms", "2 ms", "2m", "-1ms"] {
             assert_eq!(parse_duration(bad), None, "{bad:?}");
         }
+    }
+
+    #[test]
+    fn window_round_trips() {
+        for (s, w) in [
+            ("50ms", (50 * MILLISEC, None)),
+            ("0ns:3s", (0, Some(3 * SEC))),
+            ("250ms:250ms", (250 * MILLISEC, Some(250 * MILLISEC))),
+        ] {
+            assert_eq!(parse_window(s), Ok(w), "{s}");
+            assert_eq!(format_window(w.0, w.1), s);
+        }
+        assert_eq!(
+            parse_window("50"),
+            Err("\"50\" is not a duration (e.g. 50ms, 2s)".to_string())
+        );
+        assert!(parse_window("50ms:x").is_err());
+        assert_eq!(
+            parse_window("50ms:0ms"),
+            Err("window length must be positive".to_string())
+        );
     }
 
     #[test]

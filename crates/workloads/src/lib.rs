@@ -33,7 +33,7 @@ pub mod server;
 use nest_simcore::{BehaviorRegistry, SimRng, SimSetup, TaskSpec};
 
 pub use fleet::FleetLoad;
-pub use nest_fleet::FleetSpec;
+pub use nest_fleet::{FleetSpec, HedgeMode, HostDegrade, HostDown, LbPolicy};
 pub use nest_serve::{OpenLoopDriver, ServeSpec, ServiceWorker};
 pub use serve::ServeLoad;
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Byte-identity guard: regenerate representative artifacts (Figures 2,
 # 4 and 10, Table 4, the serve tail sweep, the latency-attribution
-# sweep, the 256-core scaling sweep, a faulted run, and a snapshot/replay
+# sweep, the fleet failover figure, the 256-core scaling sweep, a
+# faulted run, a synthetic-machine run, and a snapshot/replay
 # continuation) in quick mode and compare their hashes against the
 # committed golden set, along with `nest-sim stats --json` of a served
 # fleet and the deterministic part of five telemetry sidecars.
