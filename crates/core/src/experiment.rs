@@ -8,13 +8,12 @@
 //!
 //! The runs themselves are executed elsewhere — fanned out across
 //! worker threads and the result cache by `nest-harness` for every
-//! figure binary, or serially by [`run_many`](crate::run_many). The
-//! *aggregation* ([`Comparison::from_summaries`]) is a pure function over
-//! their plain-data [`RunSummary`]s, so it produces identical output
-//! either way.
+//! figure binary. The *aggregation* ([`Comparison::from_summaries`]) is
+//! a pure function over their plain-data [`RunSummary`]s, so it produces
+//! identical output however they were run.
 
 use nest_freq::Governor;
-use nest_metrics::stats::{improvement_stats, savings_pct, speedup_pct, Stats};
+use nest_metrics::stats::{improvement_stats, savings_pct, Stats};
 use nest_metrics::RunSummary;
 
 use crate::sim::PolicyKind;
@@ -32,17 +31,6 @@ impl SchedulerSetup {
     /// Convenience constructor.
     pub fn new(policy: PolicyKind, governor: Governor) -> SchedulerSetup {
         SchedulerSetup { policy, governor }
-    }
-
-    /// The paper's four standard configurations plus the CFS-schedutil
-    /// baseline first: `CFS sched, CFS perf, Nest sched, Nest perf`.
-    pub fn paper_set() -> Vec<SchedulerSetup> {
-        vec![
-            SchedulerSetup::new(PolicyKind::Cfs, Governor::Schedutil),
-            SchedulerSetup::new(PolicyKind::Cfs, Governor::Performance),
-            SchedulerSetup::new(PolicyKind::Nest, Governor::Schedutil),
-            SchedulerSetup::new(PolicyKind::Nest, Governor::Performance),
-        ]
     }
 
     /// Figure label like `"Nest sched"`.
@@ -185,24 +173,10 @@ pub fn format_table(c: &Comparison) -> String {
     out
 }
 
-/// Sanity check used across harness binaries: the comparison must contain
-/// a baseline and every row must have positive time.
-pub fn validate(c: &Comparison) {
-    assert!(!c.rows.is_empty());
-    assert!(
-        c.rows[0].speedup_pct.is_none(),
-        "row 0 must be the baseline"
-    );
-    for r in &c.rows {
-        assert!(r.time.mean > 0.0, "{}: nonpositive time", r.label);
-    }
-    let _ = speedup_pct(1.0, 1.0);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::{run_many, SimConfig};
+    use crate::sim::{run_once, run_seed, SimConfig};
     use nest_topology::presets;
     use nest_workloads::configure::Configure;
 
@@ -220,9 +194,11 @@ mod tests {
                     .policy(s.policy.clone())
                     .governor(s.governor)
                     .seed(11);
-                run_many(&cfg, &Configure::named("gdb"), 2)
-                    .iter()
-                    .map(|r| r.summarize())
+                (0..2)
+                    .map(|i| {
+                        let run = cfg.clone().seed(run_seed(cfg.seed, i));
+                        run_once(&run, &Configure::named("gdb")).summarize()
+                    })
                     .collect()
             })
             .collect();
@@ -231,18 +207,23 @@ mod tests {
         assert!(c.rows[0].speedup_pct.is_none());
         assert!(c.rows[1].speedup_pct.is_some());
         assert!(c.row("Nest sched").is_some());
-        validate(&c);
+        for r in &c.rows {
+            assert!(r.time.mean > 0.0, "{}: nonpositive time", r.label);
+        }
         let table = format_table(&c);
         assert!(table.contains("Nest sched"));
         assert!(table.contains("base"));
     }
 
     #[test]
-    fn paper_set_has_four_configs_plus_smove_for_configure() {
-        let labels: Vec<String> = SchedulerSetup::paper_set()
-            .iter()
-            .map(SchedulerSetup::label)
-            .collect();
+    fn labels_join_policy_and_governor() {
+        let labels = [
+            (PolicyKind::Cfs, Governor::Schedutil),
+            (PolicyKind::Cfs, Governor::Performance),
+            (PolicyKind::Nest, Governor::Schedutil),
+            (PolicyKind::Nest, Governor::Performance),
+        ]
+        .map(|(policy, governor)| SchedulerSetup::new(policy, governor).label());
         assert_eq!(labels, ["CFS sched", "CFS perf", "Nest sched", "Nest perf"]);
     }
 

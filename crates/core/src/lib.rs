@@ -5,8 +5,9 @@
 //! This crate ties the substrates together behind a small surface:
 //!
 //! * [`SimConfig`] — machine + policy + governor + seed;
-//! * [`run_once`] / [`run_many`] — execute a workload, returning
-//!   [`RunResult`]s with the paper's metrics attached;
+//! * [`run_once`] — execute a workload, returning a [`RunResult`] with
+//!   the paper's metrics attached; [`run_seed`] derives the seed of each
+//!   repeated run;
 //! * [`experiment`] — multi-run comparisons with speedups and standard
 //!   deviations computed the way §5.1 specifies.
 //!
@@ -31,7 +32,7 @@ pub mod sim;
 pub mod snapshot;
 
 pub use experiment::{Comparison, SchedulerSetup};
-pub use sim::{run_many, run_once, run_once_with, run_seed, PolicyKind, RunResult, SimConfig};
+pub use sim::{run_once, run_once_with, run_seed, PolicyKind, RunResult, SimConfig};
 pub use snapshot::{
     behavior_registry, read_header, restore, run_until, PausedSim, Progress, SnapError,
     SnapshotHeader, SNAPSHOT_SCHEMA,

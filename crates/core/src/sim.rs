@@ -75,7 +75,7 @@ pub struct SimConfig {
     pub policy: PolicyKind,
     /// Power governor.
     pub governor: Governor,
-    /// Base RNG seed; [`run_many`] offsets it per run.
+    /// Base RNG seed; [`run_seed`] derives per-run seeds from it.
     pub seed: u64,
     /// Safety horizon.
     pub horizon: Time,
@@ -466,16 +466,6 @@ pub fn run_seed(base: u64, i: usize) -> u64 {
     mix64(base, i as u64)
 }
 
-/// Runs `workload` `runs` times with per-run derived seeds.
-pub fn run_many(cfg: &SimConfig, workload: &dyn Workload, runs: usize) -> Vec<RunResult> {
-    (0..runs)
-        .map(|i| {
-            let c = cfg.clone().seed(run_seed(cfg.seed, i));
-            run_once(&c, workload)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -509,8 +499,16 @@ mod tests {
     }
 
     #[test]
-    fn run_many_varies_seeds() {
-        let rs = run_many(&quick_cfg(), &Configure::named("gdb"), 3);
+    fn run_seeds_vary_runs() {
+        let cfg = quick_cfg();
+        let rs: Vec<RunResult> = (0..3)
+            .map(|i| {
+                run_once(
+                    &cfg.clone().seed(run_seed(cfg.seed, i)),
+                    &Configure::named("gdb"),
+                )
+            })
+            .collect();
         assert_eq!(rs.len(), 3);
         // With jittered workloads, times should not be all identical.
         let t0 = rs[0].time_s;

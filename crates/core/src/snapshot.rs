@@ -322,6 +322,7 @@ mod tests {
     use crate::{run_once, PolicyKind};
     use nest_topology::presets;
     use nest_workloads::configure::Configure;
+    use nest_workloads::{Multi, ServeLoad, ServeSpec};
 
     fn cfg() -> SimConfig {
         SimConfig::new(presets::xeon_5218()).policy(PolicyKind::Nest)
@@ -330,7 +331,11 @@ mod tests {
     const IDENTITY: &str = "test-scenario";
 
     fn snap_at(pause: Time) -> String {
-        match run_until(&cfg(), &Configure::named("gdb"), pause) {
+        snap_of(&Configure::named("gdb"), pause)
+    }
+
+    fn snap_of(workload: &dyn Workload, pause: Time) -> String {
+        match run_until(&cfg(), workload, pause) {
             Progress::Paused(p) => p.snapshot(IDENTITY, Json::Null).unwrap(),
             Progress::Done(_) => panic!("run finished before the pause point"),
         }
@@ -438,7 +443,12 @@ mod tests {
     /// A snapshot whose body `edit` changed, with the header's checksum
     /// recomputed so the edit reaches the body's own validation.
     fn edited_snapshot(edit: impl FnOnce(&mut Json)) -> String {
-        let mut doc = json::parse(&snap_at(Time::from_millis(40))).unwrap();
+        edit_snapshot(&snap_at(Time::from_millis(40)), edit)
+    }
+
+    /// `text` with its body changed by `edit`, checksum recomputed.
+    fn edit_snapshot(text: &str, edit: impl FnOnce(&mut Json)) -> String {
+        let mut doc = json::parse(text).unwrap();
         let body = field_mut(&mut doc, "body");
         edit(body);
         let checksum = Json::str(&body_checksum(&body.to_pretty()));
@@ -458,6 +468,132 @@ mod tests {
         restore(&cfg(), &Configure::named("gdb"), text, IDENTITY)
             .err()
             .expect("the edited snapshot must be refused")
+    }
+
+    /// The state block of the probe of `kind`, mutably.
+    fn probe_state_mut<'a>(body: &'a mut Json, kind: &str) -> &'a mut Json {
+        let probe = probes_mut(body)
+            .iter_mut()
+            .find(|p| p.get("kind").and_then(Json::as_str) == Some(kind))
+            .unwrap_or_else(|| panic!("no probe of kind {kind}"));
+        field_mut(probe, "state")
+    }
+
+    #[test]
+    fn machine_shaped_state_is_length_and_range_checked() {
+        // Each array sized by the machine (cores, sockets, CCXs,
+        // buckets, phases) must be refused when one entry is missing,
+        // with an error that names its key, and each saved core or
+        // interval index must be refused when out of range. A serving
+        // run attaches all nine standard probes.
+        let workload = Multi::new(vec![
+            Box::new(Configure::named("gdb")),
+            Box::new(ServeLoad::new(ServeSpec {
+                rate: 2000.0,
+                requests: 300,
+                ..ServeSpec::default()
+            })),
+        ]);
+        let text = snap_of(&workload, Time::from_millis(40));
+        let cases: &[(&str, &[&str])] = &[
+            ("kernel", &["cores"]),
+            ("kernel", &["socket_cache"]),
+            ("kernel", &["domain_cache"]),
+            ("freq", &["activity"]),
+            ("freq", &["phys"]),
+            ("freq", &["domain_active"]),
+            ("freq", &["throttle"]),
+            ("metrics.underload", &["ticks", "used_mark"]),
+            ("metrics.underload", &["seconds", "used_mark"]),
+            ("metrics.underload", &["busy"]),
+            ("metrics.freq_residency", &["busy"]),
+            ("metrics.freq_residency", &["freq_khz"]),
+            ("metrics.freq_residency", &["since"]),
+            ("metrics.freq_residency", &["acc"]),
+            ("metrics.placement", &["by_path"]),
+            ("metrics.placement", &["by_core"]),
+            ("obs.decision_metrics", &["latency_counts"]),
+            ("obs.decision_metrics", &["placements"]),
+            ("obs.decision_metrics", &["spin_ns"]),
+            ("obs.decision_metrics", &["nest_ccx_primary_ns"]),
+            ("obs.decision_metrics", &["nest_member"]),
+            ("obs.decision_metrics", &["spin_since"]),
+            ("obs.invariants", &["online"]),
+            ("obs.invariants", &["spinning"]),
+            ("obs.invariants", &["running"]),
+            ("metrics.phase", &["phases"]),
+            ("metrics.phase", &["phys_freq"]),
+            ("metrics.phase", &["spinning"]),
+            ("obs.timeseries", &["socket_util"]),
+            ("obs.timeseries", &["ccx_util"]),
+            ("obs.timeseries", &["busy"]),
+            ("obs.timeseries", &["spinning"]),
+            ("obs.timeseries", &["phys_freq"]),
+        ];
+        for &(block, path) in cases {
+            let edited = edit_snapshot(&text, |body| {
+                let mut at = if block.contains('.') {
+                    probe_state_mut(body, block)
+                } else {
+                    field_mut(body, block)
+                };
+                for key in path {
+                    at = field_mut(at, key);
+                }
+                match at {
+                    Json::Arr(entries) => assert!(entries.pop().is_some(), "{block}/{path:?}"),
+                    other => panic!("{block}/{path:?} is not an array: {other:?}"),
+                }
+            });
+            let key = path.last().unwrap();
+            let err = restore(&cfg(), &workload, &edited, IDENTITY)
+                .err()
+                .unwrap_or_else(|| panic!("{block}/{key}: a short array was accepted"));
+            assert!(matches!(err, SnapError::State(_)), "{block}/{key}: {err}");
+            assert!(
+                err.to_string().contains(&format!("\"{key}\" has")),
+                "{block}/{key}: {err}"
+            );
+        }
+        let ranges = [
+            ("kernel", "online", "[9999]", "names core 9999"),
+            (
+                "obs.decision_metrics",
+                "last_core",
+                "[[0, 9999]]",
+                "names core 9999",
+            ),
+            (
+                "metrics.phase",
+                "inflight",
+                r#"[{"task": 0, "core": 9999, "state": 2}]"#,
+                "slot 9999",
+            ),
+        ];
+        for (block, key, value, want) in ranges {
+            let edited = edit_snapshot(&text, |body| {
+                let at = if block.contains('.') {
+                    probe_state_mut(body, block)
+                } else {
+                    field_mut(body, block)
+                };
+                *field_mut(at, key) = json::parse(value).unwrap();
+            });
+            let err = restore(&cfg(), &workload, &edited, IDENTITY)
+                .err()
+                .unwrap_or_else(|| panic!("{block}/{key}: an out-of-range index was accepted"));
+            assert!(matches!(err, SnapError::State(_)), "{block}/{key}: {err}");
+            assert!(err.to_string().contains(want), "{block}/{key}: {err}");
+        }
+        let edited = edit_snapshot(&text, |body| {
+            let ticks = field_mut(probe_state_mut(body, "metrics.underload"), "ticks");
+            *field_mut(ticks, "cur_interval") = Json::u64(1 << 40);
+        });
+        let err = restore(&cfg(), &workload, &edited, IDENTITY).err().unwrap();
+        assert!(
+            err.to_string().contains("current interval is out of range"),
+            "{err}"
+        );
     }
 
     #[test]

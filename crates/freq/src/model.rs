@@ -20,7 +20,7 @@
 //! active core on the socket (§5.2).
 
 use nest_simcore::json::{self, Json};
-use nest_simcore::snap::{self, Snap};
+use nest_simcore::snap::Snap;
 use nest_simcore::{CoreId, Freq, Time};
 use nest_topology::{MachineSpec, Topology};
 
@@ -116,6 +116,15 @@ pub struct FreqModel {
     /// recompute (unordered, may repeat).
     power_dirty: Vec<usize>,
 }
+
+nest_simcore::snap_in_place!(FreqModel {
+    "activity": thread_activity [len],
+    "phys": phys [len],
+    "domain_active": domain_active [len],
+    "throttle": throttle [len],
+    "energy": energy_joules,
+    "last_integration": last_integration,
+});
 
 impl FreqModel {
     /// Creates the model with all cores idle at the *nominal* frequency —
@@ -526,25 +535,13 @@ impl FreqModel {
     /// terms and running totals are not stored: [`FreqModel::load`] marks
     /// every core changed, and the recompute yields the identical value.
     pub fn save(&self) -> Json {
-        json::obj(vec![
-            ("activity", self.thread_activity.save()),
-            ("phys", self.phys.save()),
-            ("domain_active", self.domain_active.save()),
-            ("throttle", self.throttle.save()),
-            ("energy", self.energy_joules.save()),
-            ("last_integration", self.last_integration.save()),
-        ])
+        json::obj(self.snap_entries())
     }
 
     /// Restores state captured by [`FreqModel::save`] into a model built
     /// from the same machine spec and governor.
     pub fn load(&mut self, state: &Json) -> Result<(), String> {
-        self.thread_activity = snap::load_len(state, "activity", self.thread_activity.len())?;
-        self.phys = snap::load_len(state, "phys", self.phys.len())?;
-        self.domain_active = snap::load_len(state, "domain_active", self.domain_active.len())?;
-        self.throttle = snap::load_len(state, "throttle", self.throttle.len())?;
-        self.energy_joules = snap::load(state, "energy")?;
-        self.last_integration = snap::load(state, "last_integration")?;
+        self.load_entries(state)?;
         self.power_dirty.clear();
         self.power_dirty.extend(0..self.phys.len());
         Ok(())

@@ -26,33 +26,26 @@
 //!
 //! # Environment knobs
 //!
-//! | variable | meaning | default |
-//! |---|---|---|
-//! | `NEST_JOBS` | worker threads | available parallelism |
-//! | `NEST_CACHE` | `on` / `off` / `clear` | `on` |
-//! | `NEST_CACHE_DIR` | cache directory | `results/cache` |
-//! | `NEST_RESULTS_DIR` | artifact directory | `results` |
-//! | `NEST_PROGRESS` | `0` silences progress lines | on |
-//! | `NEST_WARM_START` | warm-start pause point (simulated seconds) | off |
+//! The harness reads its worker count, cache, warm-start, watchdog and
+//! profiler settings from `NEST_*` environment variables; the README's
+//! *Harness* section has the full table.
 //!
 //! # Example
 //!
 //! ```
-//! use nest_core::experiment::SchedulerSetup;
-//! use nest_core::presets;
 //! use nest_harness::{Cache, Matrix, Progress};
-//! use nest_workloads::configure::Configure;
+//! use nest_scenario::Scenario;
 //!
+//! let scenarios = ["cfs", "nest"].map(|policy| {
+//!     Scenario::parse("5218", policy, "schedutil", "configure:gdb")
+//!         .unwrap()
+//!         .with_runs(1)
+//! });
 //! let mut m = Matrix::new("example", 42)
 //!     .with_jobs(2)
 //!     .with_cache(Cache::disabled())
 //!     .with_progress(Progress::quiet());
-//! m.add(
-//!     presets::xeon_5218(),
-//!     &SchedulerSetup::paper_set()[..2],
-//!     1,
-//!     Box::new(|| Box::new(Configure::named("gdb"))),
-//! );
+//! m.add_scenarios(&scenarios).unwrap();
 //! let (comparisons, telemetry) = m.run();
 //! assert_eq!(comparisons.len(), 1);
 //! assert_eq!(telemetry.cells_total, 2);

@@ -57,8 +57,11 @@ use crate::progress::Progress;
 /// comparisons and figure artifacts are identical with it on or off —
 /// only wall-clock (and the telemetry describing it) differs. It
 /// complements the summary cache: a summary hit skips the whole cell,
-/// while a warm hit accelerates cells that must simulate (for example
-/// after `NEST_CACHE=off`, a cleared cache, or a bumped cache schema).
+/// while a warm hit accelerates cells that must simulate. Only a run
+/// whose summary cache is off (`NEST_CACHE=off`) or has lost the cell's
+/// entry can hit: `NEST_CACHE=clear` deletes the warm snapshots too, and
+/// a bumped cache schema changes the cell identity that every warm
+/// identity embeds.
 #[derive(Clone, Debug)]
 pub struct WarmStart {
     /// Simulated time at which cold cells snapshot.
@@ -682,12 +685,6 @@ impl Matrix {
         // Keep the series of the lexicographically first cell labels (an
         // order-independent selection).
         telemetry.timeseries.sort_by(|a, b| a.0.cmp(&b.0));
-        // Keep the warm snapshot directory within its configured budget.
-        // Eviction happens after the run, so this run's warm hits were
-        // unaffected; the oldest snapshots lose their head start first.
-        if let (Some(w), Some(cap)) = (&self.warm, warm_cache_cap_from_env()) {
-            prune_warm_cache(&w.dir, cap);
-        }
         telemetry.finish(workers, started, &prof_before);
         self.progress.finished(&telemetry);
         (comparisons, telemetry)
@@ -806,58 +803,6 @@ fn write_snapshot(dir: &Path, path: &Path, text: &str) -> bool {
     };
     let tmp = dir.join(format!("{name}.{}.tmp", std::process::id()));
     std::fs::write(&tmp, text).is_ok() && std::fs::rename(&tmp, path).is_ok()
-}
-
-/// Warm-cache size cap in bytes, from `NEST_WARM_CACHE_MB` (whole
-/// megabytes; unset or unparseable means uncapped). `0` is a valid cap:
-/// it evicts every snapshot, effectively disabling the warm cache
-/// without turning warm-start itself off.
-pub fn warm_cache_cap_from_env() -> Option<u64> {
-    std::env::var("NEST_WARM_CACHE_MB")
-        .ok()?
-        .parse::<u64>()
-        .ok()
-        .map(|mb| mb.saturating_mul(1024 * 1024))
-}
-
-/// Prunes the warm snapshot directory down to at most `cap_bytes` of
-/// `.snap` files by deleting the oldest-modified first (ties broken by
-/// file name, so the order is deterministic on coarse-grained
-/// filesystems). Non-snapshot files are never touched. Returns how many
-/// snapshots were evicted.
-pub fn prune_warm_cache(dir: &Path, cap_bytes: u64) -> usize {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return 0;
-    };
-    let mut snaps: Vec<(std::time::SystemTime, String, PathBuf, u64)> = Vec::new();
-    let mut total: u64 = 0;
-    for entry in entries.flatten() {
-        let path = entry.path();
-        if path.extension().and_then(|e| e.to_str()) != Some("snap") {
-            continue;
-        }
-        let Ok(meta) = entry.metadata() else { continue };
-        let mtime = meta.modified().unwrap_or(std::time::SystemTime::UNIX_EPOCH);
-        total += meta.len();
-        snaps.push((
-            mtime,
-            entry.file_name().to_string_lossy().into_owned(),
-            path,
-            meta.len(),
-        ));
-    }
-    snaps.sort();
-    let mut evicted = 0;
-    for (_, _, path, len) in snaps {
-        if total <= cap_bytes {
-            break;
-        }
-        if std::fs::remove_file(&path).is_ok() {
-            total = total.saturating_sub(len);
-            evicted += 1;
-        }
-    }
-    evicted
 }
 
 /// One raw simulation for trace figures (2, 3, 8): full [`RunResult`]s are
@@ -1257,51 +1202,6 @@ mod tests {
         assert_eq!(w.cells_warm, 0);
         assert_eq!(w.snapshots_written, 0);
         assert_same_comparisons(&cold, &warm_run);
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn warm_cache_cap_evicts_oldest_snapshots_first() {
-        let dir = std::env::temp_dir().join(format!(
-            "nest-warm-cap-{}-{:x}",
-            std::process::id(),
-            nest_simcore::rng::splitmix64(0xCA9B)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-
-        // Four 100-byte snapshots with staggered ages (b and c share an
-        // mtime, so the name breaks the tie), plus a bystander file the
-        // pruner must never touch.
-        let base = std::time::SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(1_000_000);
-        let stamp = |name: &str, age_back_s: u64| {
-            let path = dir.join(name);
-            std::fs::write(&path, [0u8; 100]).unwrap();
-            let f = std::fs::File::options().write(true).open(&path).unwrap();
-            f.set_modified(base - std::time::Duration::from_secs(age_back_s))
-                .unwrap();
-        };
-        stamp("a.snap", 30); // oldest → evicted first
-        stamp("c.snap", 20); // tied with b; "b" sorts first
-        stamp("b.snap", 20);
-        stamp("d.snap", 10); // newest → kept longest
-        stamp("not-a-snapshot.txt", 99);
-
-        // Cap of 250 bytes over 400 bytes of snapshots: evict a (oldest),
-        // then b (tie broken by name) — 200 bytes remain.
-        assert_eq!(prune_warm_cache(&dir, 250), 2);
-        assert!(!dir.join("a.snap").exists());
-        assert!(!dir.join("b.snap").exists());
-        assert!(dir.join("c.snap").exists());
-        assert!(dir.join("d.snap").exists());
-        assert!(dir.join("not-a-snapshot.txt").exists());
-
-        // Already under budget: nothing more to do.
-        assert_eq!(prune_warm_cache(&dir, 250), 0);
-        // A zero cap empties the snapshot set but spares other files.
-        assert_eq!(prune_warm_cache(&dir, 0), 2);
-        assert!(dir.join("not-a-snapshot.txt").exists());
-
         let _ = std::fs::remove_dir_all(dir);
     }
 

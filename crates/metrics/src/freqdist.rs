@@ -6,7 +6,6 @@
 //! GHz on the 6130).
 
 use nest_simcore::json::{self, Json};
-use nest_simcore::snap::{self, Snap};
 use nest_simcore::{Freq, Probe, Time, TraceEvent};
 
 /// Residency histogram, accumulated in place by [`FreqResidencyProbe`].
@@ -105,6 +104,15 @@ impl FreqResidencyProbe {
     }
 }
 
+// Bucket edges come from construction; only the accumulators and
+// per-core tracking travel.
+nest_simcore::snap_in_place!(FreqResidencyProbe {
+    "busy": busy [len],
+    "freq_khz": freq [len],
+    "since": since [len],
+    "acc": residency.busy_ns [len],
+});
+
 impl Probe for FreqResidencyProbe {
     fn on_event(&mut self, now: Time, event: &TraceEvent) {
         match event {
@@ -134,25 +142,11 @@ impl Probe for FreqResidencyProbe {
     }
 
     fn snap(&self) -> Option<(&'static str, Json)> {
-        // Bucket edges come from construction; only the accumulators and
-        // per-core tracking travel.
-        Some((
-            "metrics.freq_residency",
-            json::obj(vec![
-                ("busy", self.busy.save()),
-                ("freq_khz", self.freq.save()),
-                ("since", self.since.save()),
-                ("acc", self.residency.busy_ns.save()),
-            ]),
-        ))
+        Some(("metrics.freq_residency", json::obj(self.snap_entries())))
     }
 
     fn snap_restore(&mut self, state: &Json) -> Result<(), String> {
-        self.busy = snap::load_len(state, "busy", self.busy.len())?;
-        self.freq = snap::load_len(state, "freq_khz", self.freq.len())?;
-        self.since = snap::load_len(state, "since", self.since.len())?;
-        self.residency.busy_ns = snap::load_len(state, "acc", self.residency.busy_ns.len())?;
-        Ok(())
+        self.load_entries(state)
     }
 }
 

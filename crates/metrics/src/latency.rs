@@ -7,7 +7,6 @@
 use std::collections::HashMap;
 
 use nest_simcore::json::{self, Json};
-use nest_simcore::snap::{self, Snap};
 use nest_simcore::{Probe, TaskId, Time, TraceEvent};
 
 /// Wakeup latencies, collected in place by [`WakeupLatencyProbe`].
@@ -63,6 +62,11 @@ pub struct WakeupLatencyProbe {
     pending: HashMap<TaskId, Time>,
 }
 
+nest_simcore::snap_in_place!(WakeupLatencyProbe {
+    "pending": pending,
+    "samples": latencies.samples,
+});
+
 impl Probe for WakeupLatencyProbe {
     fn on_event(&mut self, now: Time, event: &TraceEvent) {
         match event {
@@ -79,19 +83,11 @@ impl Probe for WakeupLatencyProbe {
     }
 
     fn snap(&self) -> Option<(&'static str, Json)> {
-        Some((
-            "metrics.wakeup_latency",
-            json::obj(vec![
-                ("pending", self.pending.save()),
-                ("samples", self.latencies.samples.save()),
-            ]),
-        ))
+        Some(("metrics.wakeup_latency", json::obj(self.snap_entries())))
     }
 
     fn snap_restore(&mut self, state: &Json) -> Result<(), String> {
-        self.pending = snap::load(state, "pending")?;
-        self.latencies.samples = snap::load(state, "samples")?;
-        Ok(())
+        self.load_entries(state)
     }
 }
 

@@ -273,6 +273,15 @@ impl PhaseBreakdownProbe {
     }
 }
 
+nest_simcore::snap_in_place!(PhaseBreakdownProbe {
+    "requests": metrics.requests,
+    "identity_violations": metrics.identity_violations,
+    "total": metrics.total,
+    "phases": metrics.phases [len],
+    "phys_freq": phys_freq [len],
+    "spinning": spinning [len],
+});
+
 impl Probe for PhaseBreakdownProbe {
     fn on_event(&mut self, now: Time, event: &TraceEvent) {
         match event {
@@ -438,30 +447,13 @@ impl Probe for PhaseBreakdownProbe {
                 ])
             })
             .collect();
-        Some((
-            "metrics.phase",
-            obj(vec![
-                ("requests", self.metrics.requests.save()),
-                (
-                    "identity_violations",
-                    self.metrics.identity_violations.save(),
-                ),
-                ("total", self.metrics.total.save()),
-                ("phases", self.metrics.phases.save()),
-                ("phys_freq", self.phys_freq.save()),
-                ("spinning", self.spinning.save()),
-                ("inflight", Json::Arr(inflight)),
-            ]),
-        ))
+        let mut entries = self.snap_entries();
+        entries.push(("inflight", Json::Arr(inflight)));
+        Some(("metrics.phase", obj(entries)))
     }
 
     fn snap_restore(&mut self, state: &Json) -> Result<(), String> {
-        self.metrics.requests = snap::load(state, "requests")?;
-        self.metrics.identity_violations = snap::load(state, "identity_violations")?;
-        self.metrics.total = snap::load(state, "total")?;
-        self.metrics.phases = snap::load_len(state, "phases", N_PHASES)?;
-        self.phys_freq = snap::load_len(state, "phys_freq", self.phys_freq.len())?;
-        self.spinning = snap::load_len(state, "spinning", self.spinning.len())?;
+        self.load_entries(state)?;
         self.inflight.clear();
         self.running = vec![None; self.running.len()];
         for entry in snap::get_arr(state, "inflight")? {

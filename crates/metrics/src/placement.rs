@@ -45,6 +45,10 @@ impl PlacementCounts {
     }
 }
 
+nest_simcore::snap_in_place!(PlacementCounts {
+    "by_core": by_core [len],
+});
+
 impl Probe for PlacementCounts {
     fn on_event(&mut self, _now: Time, event: &TraceEvent) {
         if let TraceEvent::Placed { core, path, .. } = event {
@@ -60,13 +64,9 @@ impl Probe for PlacementCounts {
             .iter()
             .map(|p| self.by_path.get(p).copied().unwrap_or(0))
             .collect();
-        Some((
-            "metrics.placement",
-            json::obj(vec![
-                ("by_path", by_path.save()),
-                ("by_core", self.by_core.save()),
-            ]),
-        ))
+        let mut entries = vec![("by_path", by_path.save())];
+        entries.extend(self.snap_entries());
+        Some(("metrics.placement", json::obj(entries)))
     }
 
     fn snap_restore(&mut self, state: &Json) -> Result<(), String> {
@@ -76,8 +76,7 @@ impl Probe for PlacementCounts {
             .zip(by_path)
             .filter(|&(_, n)| n > 0)
             .collect();
-        self.by_core = snap::load_len(state, "by_core", self.by_core.len())?;
-        Ok(())
+        self.load_entries(state)
     }
 }
 

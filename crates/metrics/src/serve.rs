@@ -192,6 +192,13 @@ impl ServeMetricsProbe {
     }
 }
 
+nest_simcore::snap_in_place!(ServeMetricsProbe {
+    "offered": metrics.offered,
+    "completed": metrics.completed,
+    "within_slo": metrics.within_slo,
+    "hist": metrics.hist,
+});
+
 impl Probe for ServeMetricsProbe {
     fn on_event(&mut self, now: Time, event: &TraceEvent) {
         match event {
@@ -239,23 +246,13 @@ impl Probe for ServeMetricsProbe {
             .map(|(&task, &(at, slo))| (task, at, slo))
             .collect();
         arrived.sort_unstable_by_key(|&(task, ..)| task);
-        Some((
-            "metrics.serve",
-            obj(vec![
-                ("offered", self.metrics.offered.save()),
-                ("completed", self.metrics.completed.save()),
-                ("within_slo", self.metrics.within_slo.save()),
-                ("hist", self.metrics.hist.save()),
-                ("arrived", arrived.save()),
-            ]),
-        ))
+        let mut entries = self.snap_entries();
+        entries.push(("arrived", arrived.save()));
+        Some(("metrics.serve", obj(entries)))
     }
 
     fn snap_restore(&mut self, state: &Json) -> Result<(), String> {
-        self.metrics.offered = snap::load(state, "offered")?;
-        self.metrics.completed = snap::load(state, "completed")?;
-        self.metrics.within_slo = snap::load(state, "within_slo")?;
-        self.metrics.hist = snap::load(state, "hist")?;
+        self.load_entries(state)?;
         let arrived: Vec<(TaskId, Time, u64)> = snap::load(state, "arrived")?;
         self.arrived = arrived
             .into_iter()

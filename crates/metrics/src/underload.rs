@@ -15,7 +15,7 @@
 
 use nest_simcore::json::{self, Json};
 use nest_simcore::snap::{self, Snap};
-use nest_simcore::{snap_struct, Probe, Time, TraceEvent, SEC, TICK_NS};
+use nest_simcore::{snap_in_place, snap_struct, Probe, Time, TraceEvent, SEC, TICK_NS};
 
 /// Per-interval usage snapshot.
 #[derive(Clone, Copy, Debug, Default)]
@@ -188,6 +188,13 @@ impl UnderloadProbe {
     }
 }
 
+// The `ticks` and `seconds` window trackers save their series from
+// `data` alongside their cursors, by hand, ahead of these keys.
+snap_in_place!(UnderloadProbe {
+    "busy": busy [len],
+    "cur_runnable": cur_runnable,
+});
+
 impl Probe for UnderloadProbe {
     fn on_event(&mut self, now: Time, event: &TraceEvent) {
         self.roll_to(now);
@@ -216,15 +223,12 @@ impl Probe for UnderloadProbe {
     }
 
     fn snap(&self) -> Option<(&'static str, Json)> {
-        Some((
-            "metrics.underload",
-            json::obj(vec![
-                ("ticks", self.ticks.save(&self.data.intervals)),
-                ("seconds", self.seconds.save(&self.data.seconds)),
-                ("busy", self.busy.save()),
-                ("cur_runnable", self.cur_runnable.save()),
-            ]),
-        ))
+        let mut entries = vec![
+            ("ticks", self.ticks.save(&self.data.intervals)),
+            ("seconds", self.seconds.save(&self.data.seconds)),
+        ];
+        entries.extend(self.snap_entries());
+        Some(("metrics.underload", json::obj(entries)))
     }
 
     fn snap_restore(&mut self, state: &Json) -> Result<(), String> {
@@ -233,9 +237,7 @@ impl Probe for UnderloadProbe {
             .load(&mut d.intervals, snap::field(state, "ticks")?)?;
         self.seconds
             .load(&mut d.seconds, snap::field(state, "seconds")?)?;
-        self.busy = snap::load_len(state, "busy", self.busy.len())?;
-        self.cur_runnable = snap::load(state, "cur_runnable")?;
-        Ok(())
+        self.load_entries(state)
     }
 }
 

@@ -12,7 +12,6 @@
 use std::collections::HashMap;
 
 use nest_simcore::json::{obj, Json};
-use nest_simcore::snap::{self, Snap};
 use nest_simcore::{CoreId, PlacementPath, Probe, TaskId, Time, TraceEvent};
 
 /// Upper edges (ns) of the log-scale wakeup→run latency buckets: powers
@@ -416,6 +415,34 @@ impl DecisionMetricsProbe {
     }
 }
 
+// `cur_ccx_primary` is derived from `nest_member` and rebuilt on load.
+nest_simcore::snap_in_place!(DecisionMetricsProbe {
+    "latency_counts": metrics.latency_counts [len],
+    "latency_samples": metrics.latency_samples,
+    "latency_sum_ns": metrics.latency_sum_ns,
+    "placements": metrics.placements [len],
+    "migrations": metrics.migrations,
+    "cross_ccx_migrations": metrics.cross_ccx_migrations,
+    "cross_socket_migrations": metrics.cross_socket_migrations,
+    "spin_ns": metrics.spin_ns [len],
+    "nest_ccx_primary_ns": metrics.nest_ccx_primary_ns [len],
+    "nest_member": nest_member [len],
+    "nest_primary_ns": metrics.nest_primary_ns,
+    "nest_reserve_ns": metrics.nest_reserve_ns,
+    "nest_primary_max": metrics.nest_primary_max,
+    "nest_reserve_max": metrics.nest_reserve_max,
+    "nest_transitions": metrics.nest_transitions,
+    "nest_compactions": metrics.nest_compactions,
+    "occupancy_timeline": metrics.occupancy_timeline,
+    "timeline_truncated": metrics.timeline_truncated,
+    "woken_at": woken_at,
+    "last_core": last_core,
+    "spin_since": spin_since [len],
+    "cur_primary": cur_primary,
+    "cur_reserve": cur_reserve,
+    "last_nest_change": last_nest_change,
+});
+
 impl Probe for DecisionMetricsProbe {
     fn on_event(&mut self, now: Time, event: &TraceEvent) {
         match event {
@@ -496,77 +523,23 @@ impl Probe for DecisionMetricsProbe {
     }
 
     fn snap(&self) -> Option<(&'static str, Json)> {
-        let m = &self.metrics;
-        Some((
-            "obs.decision_metrics",
-            obj(vec![
-                ("latency_counts", m.latency_counts.save()),
-                ("latency_samples", m.latency_samples.save()),
-                ("latency_sum_ns", m.latency_sum_ns.save()),
-                ("placements", m.placements.save()),
-                ("migrations", m.migrations.save()),
-                ("cross_ccx_migrations", m.cross_ccx_migrations.save()),
-                ("cross_socket_migrations", m.cross_socket_migrations.save()),
-                ("spin_ns", m.spin_ns.save()),
-                ("nest_ccx_primary_ns", m.nest_ccx_primary_ns.save()),
-                ("nest_member", self.nest_member.save()),
-                ("nest_primary_ns", m.nest_primary_ns.save()),
-                ("nest_reserve_ns", m.nest_reserve_ns.save()),
-                ("nest_primary_max", m.nest_primary_max.save()),
-                ("nest_reserve_max", m.nest_reserve_max.save()),
-                ("nest_transitions", m.nest_transitions.save()),
-                ("nest_compactions", m.nest_compactions.save()),
-                ("occupancy_timeline", m.occupancy_timeline.save()),
-                ("timeline_truncated", m.timeline_truncated.save()),
-                ("woken_at", self.woken_at.save()),
-                ("last_core", self.last_core.save()),
-                ("spin_since", self.spin_since.save()),
-                ("cur_primary", self.cur_primary.save()),
-                ("cur_reserve", self.cur_reserve.save()),
-                ("last_nest_change", self.last_nest_change.save()),
-            ]),
-        ))
+        Some(("obs.decision_metrics", obj(self.snap_entries())))
     }
 
     fn snap_restore(&mut self, state: &Json) -> Result<(), String> {
+        self.load_entries(state)?;
         let n_cores = self.spin_since.len();
-        let m = &mut self.metrics;
-        m.latency_counts = snap::load_len(state, "latency_counts", m.latency_counts.len())?;
-        m.latency_samples = snap::load(state, "latency_samples")?;
-        m.latency_sum_ns = snap::load(state, "latency_sum_ns")?;
-        m.placements = snap::load_len(state, "placements", m.placements.len())?;
-        m.migrations = snap::load(state, "migrations")?;
-        m.cross_ccx_migrations = snap::load(state, "cross_ccx_migrations")?;
-        m.cross_socket_migrations = snap::load(state, "cross_socket_migrations")?;
-        m.spin_ns = snap::load_len(state, "spin_ns", m.spin_ns.len())?;
-        m.nest_ccx_primary_ns =
-            snap::load_len(state, "nest_ccx_primary_ns", m.nest_ccx_primary_ns.len())?;
-        m.nest_primary_ns = snap::load(state, "nest_primary_ns")?;
-        m.nest_reserve_ns = snap::load(state, "nest_reserve_ns")?;
-        m.nest_primary_max = snap::load(state, "nest_primary_max")?;
-        m.nest_reserve_max = snap::load(state, "nest_reserve_max")?;
-        m.nest_transitions = snap::load(state, "nest_transitions")?;
-        m.nest_compactions = snap::load(state, "nest_compactions")?;
-        m.occupancy_timeline = snap::load(state, "occupancy_timeline")?;
-        m.timeline_truncated = snap::load(state, "timeline_truncated")?;
-        self.nest_member = snap::load_len(state, "nest_member", n_cores)?;
+        if let Some(core) = self.last_core.values().find(|c| c.index() >= n_cores) {
+            return Err(format!(
+                "last_core names core {core}, but the machine has {n_cores}"
+            ));
+        }
         self.cur_ccx_primary.fill(0);
         for (&member, &ccx) in self.nest_member.iter().zip(&self.ccx_of) {
             if member {
                 self.cur_ccx_primary[ccx as usize] += 1;
             }
         }
-        self.woken_at = snap::load(state, "woken_at")?;
-        self.last_core = snap::load(state, "last_core")?;
-        if let Some(core) = self.last_core.values().find(|c| c.index() >= n_cores) {
-            return Err(format!(
-                "last_core names core {core}, but the machine has {n_cores}"
-            ));
-        }
-        self.spin_since = snap::load_len(state, "spin_since", n_cores)?;
-        self.cur_primary = snap::load(state, "cur_primary")?;
-        self.cur_reserve = snap::load(state, "cur_reserve")?;
-        self.last_nest_change = snap::load(state, "last_nest_change")?;
         Ok(())
     }
 }

@@ -193,6 +193,20 @@ impl InvariantChecker {
     }
 }
 
+nest_simcore::snap_in_place!(InvariantChecker {
+    "online": online [len],
+    "spinning": spinning [len],
+    "running": running [len],
+    "task_core": task_core,
+    "primary": primary,
+    "woken_pending": woken_pending,
+    "placed_pending": placed_pending,
+    "created": created,
+    "exited": exited,
+    "events_checked": counts.events_checked,
+    "violations": counts.violations,
+});
+
 impl Probe for InvariantChecker {
     fn on_event(&mut self, now: Time, event: &TraceEvent) {
         self.counts.events_checked += 1;
@@ -420,38 +434,14 @@ impl Probe for InvariantChecker {
             .iter()
             .map(|(rule, &n)| (rule.to_string(), n))
             .collect();
-        Some((
-            "obs.invariants",
-            obj(vec![
-                ("online", self.online.save()),
-                ("spinning", self.spinning.save()),
-                ("running", self.running.save()),
-                ("task_core", self.task_core.save()),
-                ("primary", self.primary.save()),
-                ("woken_pending", self.woken_pending.save()),
-                ("placed_pending", self.placed_pending.save()),
-                ("created", self.created.save()),
-                ("exited", self.exited.save()),
-                ("events_checked", c.events_checked.save()),
-                ("violations", c.violations.save()),
-                ("by_rule", by_rule.save()),
-            ]),
-        ))
+        let mut entries = self.snap_entries();
+        entries.push(("by_rule", by_rule.save()));
+        Some(("obs.invariants", obj(entries)))
     }
 
     fn snap_restore(&mut self, state: &Json) -> Result<(), String> {
-        self.online = snap::load_len(state, "online", self.online.len())?;
-        self.spinning = snap::load_len(state, "spinning", self.spinning.len())?;
-        self.running = snap::load_len(state, "running", self.running.len())?;
-        self.task_core = snap::load(state, "task_core")?;
-        self.primary = snap::load(state, "primary")?;
-        self.woken_pending = snap::load(state, "woken_pending")?;
-        self.placed_pending = snap::load(state, "placed_pending")?;
-        self.created = snap::load(state, "created")?;
-        self.exited = snap::load(state, "exited")?;
+        self.load_entries(state)?;
         let c = &mut self.counts;
-        c.events_checked = snap::load(state, "events_checked")?;
-        c.violations = snap::load(state, "violations")?;
         c.by_rule.clear();
         for (name, n) in snap::load::<Vec<(String, u64)>>(state, "by_rule")? {
             let rule = RULE_NAMES

@@ -22,7 +22,6 @@
 
 use nest_freq::{instant_power_w, Activity};
 use nest_simcore::json::{obj, Json};
-use nest_simcore::snap::{self, Snap};
 use nest_simcore::{Freq, Probe, Time, TraceEvent};
 use nest_topology::MachineSpec;
 
@@ -245,6 +244,28 @@ impl TimeSeriesSampler {
     }
 }
 
+// The machine shape comes from construction; the mirrored state and
+// accumulated columns travel.
+nest_simcore::snap_in_place!(TimeSeriesSampler {
+    "interval_ns": series.interval_ns,
+    "truncated_halvings": series.truncated_halvings,
+    "next_at": next_at,
+    "t_ns": series.t_ns,
+    "power_w": series.power_w,
+    "mean_freq_khz": series.mean_freq_khz,
+    "runnable_col": series.runnable,
+    "nest_primary_col": series.nest_primary,
+    "nest_reserve_col": series.nest_reserve,
+    "socket_util": series.socket_util [len],
+    "ccx_util": series.ccx_util [len],
+    "busy": busy [len],
+    "spinning": spinning [len],
+    "phys_freq": phys_freq [len],
+    "runnable": runnable,
+    "nest_primary": nest_primary,
+    "nest_reserve": nest_reserve,
+});
+
 impl Probe for TimeSeriesSampler {
     fn on_event(&mut self, now: Time, event: &TraceEvent) {
         // Sample every grid point the simulation has stepped past: the
@@ -299,51 +320,11 @@ impl Probe for TimeSeriesSampler {
     }
 
     fn snap(&self) -> Option<(&'static str, Json)> {
-        // The machine shape comes from construction; the mirrored state
-        // and accumulated columns travel.
-        Some((
-            "obs.timeseries",
-            obj(vec![
-                ("interval_ns", self.series.interval_ns.save()),
-                ("truncated_halvings", self.series.truncated_halvings.save()),
-                ("next_at", self.next_at.save()),
-                ("t_ns", self.series.t_ns.save()),
-                ("power_w", self.series.power_w.save()),
-                ("mean_freq_khz", self.series.mean_freq_khz.save()),
-                ("runnable_col", self.series.runnable.save()),
-                ("nest_primary_col", self.series.nest_primary.save()),
-                ("nest_reserve_col", self.series.nest_reserve.save()),
-                ("socket_util", self.series.socket_util.save()),
-                ("ccx_util", self.series.ccx_util.save()),
-                ("busy", self.busy.save()),
-                ("spinning", self.spinning.save()),
-                ("phys_freq", self.phys_freq.save()),
-                ("runnable", self.runnable.save()),
-                ("nest_primary", self.nest_primary.save()),
-                ("nest_reserve", self.nest_reserve.save()),
-            ]),
-        ))
+        Some(("obs.timeseries", obj(self.snap_entries())))
     }
 
     fn snap_restore(&mut self, state: &Json) -> Result<(), String> {
-        self.series.interval_ns = snap::load(state, "interval_ns")?;
-        self.series.truncated_halvings = snap::load(state, "truncated_halvings")?;
-        self.next_at = snap::load(state, "next_at")?;
-        self.series.t_ns = snap::load(state, "t_ns")?;
-        self.series.power_w = snap::load(state, "power_w")?;
-        self.series.mean_freq_khz = snap::load(state, "mean_freq_khz")?;
-        self.series.runnable = snap::load(state, "runnable_col")?;
-        self.series.nest_primary = snap::load(state, "nest_primary_col")?;
-        self.series.nest_reserve = snap::load(state, "nest_reserve_col")?;
-        self.series.socket_util = snap::load_len(state, "socket_util", self.socket_cores.len())?;
-        self.series.ccx_util = snap::load_len(state, "ccx_util", self.ccx_cores.len())?;
-        self.busy = snap::load_len(state, "busy", self.busy.len())?;
-        self.spinning = snap::load_len(state, "spinning", self.spinning.len())?;
-        self.phys_freq = snap::load_len(state, "phys_freq", self.phys_freq.len())?;
-        self.runnable = snap::load(state, "runnable")?;
-        self.nest_primary = snap::load(state, "nest_primary")?;
-        self.nest_reserve = snap::load(state, "nest_reserve")?;
-        Ok(())
+        self.load_entries(state)
     }
 }
 

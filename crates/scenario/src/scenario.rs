@@ -316,7 +316,7 @@ mod tests {
 
     #[test]
     fn golden_identities_for_the_paper_standard_setups() {
-        // The four (policy × governor) setups of SchedulerSetup::paper_set,
+        // The paper's four standard (policy × governor) setups,
         // pinned as golden strings: these are cache-key prefixes, so any
         // drift silently orphans every cached result.
         let golden = [

@@ -18,8 +18,7 @@ use std::collections::BTreeSet;
 use std::rc::Rc;
 
 use nest_simcore::json::{self, Json};
-use nest_simcore::snap::{self, Snap};
-use nest_simcore::{profile, snap_struct, CoreId, TaskId, Time};
+use nest_simcore::{profile, snap_in_place, snap_struct, CoreId, TaskId, Time};
 use nest_topology::{CpuSet, Topology};
 
 use crate::pelt::Pelt;
@@ -204,6 +203,16 @@ pub struct KernelState {
     online: CpuSet,
 }
 
+// `online` has its own encoding (`CpuSet::load` checks each member
+// against the machine) and is saved after these keys.
+snap_in_place!(KernelState {
+    "cores": cores [len],
+    "tasks": tasks,
+    "socket_cache": socket_cache [len],
+    "domain_cache": domain_cache [len],
+    "socket_cache_at": socket_cache_at,
+});
+
 impl KernelState {
     /// Creates the state for a machine with all cores idle.
     pub fn new(topo: Rc<Topology>) -> KernelState {
@@ -315,25 +324,16 @@ impl KernelState {
     /// stored; [`KernelState::load`] re-derives them per core, which is
     /// exact by construction.
     pub fn save(&self) -> Json {
-        json::obj(vec![
-            ("cores", self.cores.save()),
-            ("tasks", self.tasks.save()),
-            ("socket_cache", self.socket_cache.save()),
-            ("domain_cache", self.domain_cache.save()),
-            ("socket_cache_at", self.socket_cache_at.save()),
-            ("online", self.online.save()),
-        ])
+        let mut entries = self.snap_entries();
+        entries.push(("online", self.online.save()));
+        json::obj(entries)
     }
 
     /// Restores state captured by [`KernelState::save`] into a freshly
     /// constructed `KernelState` for the same topology.
     pub fn load(&mut self, state: &Json) -> Result<(), String> {
         let n = self.cores.len();
-        self.cores = snap::load_len(state, "cores", n)?;
-        self.tasks = snap::load(state, "tasks")?;
-        self.socket_cache = snap::load_len(state, "socket_cache", self.socket_cache.len())?;
-        self.domain_cache = snap::load_len(state, "domain_cache", self.domain_cache.len())?;
-        self.socket_cache_at = snap::load(state, "socket_cache_at")?;
+        self.load_entries(state)?;
         self.online = CpuSet::load(state, "online", n)?;
         // Re-derive the acceleration indexes from the restored state.
         self.idle = CpuSet::new(n);

@@ -70,6 +70,43 @@ macro_rules! snap_struct {
     };
 }
 
+/// Declares the plain snapshot keys of a component that is first built
+/// from the machine spec and then loaded in place:
+/// `snap_in_place!(Ty { "key": place, "key": nested.place [len], ... })`
+/// names each key once for both directions. It gives `Ty` two private
+/// methods:
+///
+/// * `snap_entries(&self)` — the saved `(key, value)` entries, in
+///   declared order;
+/// * `load_entries(&mut self, state)` — assigns each place from its key,
+///   in declared order.
+///
+/// A place is a field path under `self` (`busy`, `metrics.spin_ns`). A
+/// `[len]` mark loads a machine-shaped array through [`load_len`] against
+/// the length of the freshly built value it replaces. Keys with an
+/// encoding of their own, and state rebuilt after loading, stay
+/// hand-written beside the declaration.
+#[macro_export]
+macro_rules! snap_in_place {
+    ($ty:ident { $($key:literal: $($place:ident).+ $([$len:ident])?),* $(,)? }) => {
+        impl $ty {
+            fn snap_entries(&self) -> Vec<(&'static str, $crate::json::Json)> {
+                vec![$(($key, $crate::snap::Snap::save(&self.$($place).+))),*]
+            }
+            fn load_entries(&mut self, state: &$crate::json::Json) -> Result<(), String> {
+                $($crate::snap_in_place!(@load self, state, $key, [$($len)?] $($place).+);)*
+                Ok(())
+            }
+        }
+    };
+    (@load $s:ident, $state:ident, $key:literal, [] $($place:ident).+) => {
+        $s.$($place).+ = $crate::snap::load($state, $key)?
+    };
+    (@load $s:ident, $state:ident, $key:literal, [len] $($place:ident).+) => {
+        $s.$($place).+ = $crate::snap::load_len($state, $key, $s.$($place).+.len())?
+    };
+}
+
 /// Looks up `key` in a JSON object, failing with a message that names
 /// the missing field.
 pub fn field<'a>(obj: &'a Json, key: &str) -> Result<&'a Json, String> {
@@ -490,6 +527,76 @@ mod tests {
         assert!(load::<u64>(&obj, "nope").unwrap_err().contains("missing"));
         assert!(<(u64, u64, u64)>::load(&crate::json::parse("[1, 2]").unwrap()).is_err());
         assert!(SimRng::load(&crate::json::parse("[1, 2, 3]").unwrap()).is_err());
+    }
+
+    #[derive(Default)]
+    struct Counters {
+        hits: u64,
+        per_core: Vec<u64>,
+    }
+
+    #[derive(Default)]
+    struct Component {
+        now: Time,
+        counters: Counters,
+        busy: Vec<bool>,
+    }
+
+    crate::snap_in_place!(Component {
+        "now": now,
+        "hits": counters.hits,
+        "per_core": counters.per_core [len],
+        "busy": busy [len],
+    });
+
+    fn component(n: usize) -> Component {
+        Component {
+            counters: Counters {
+                per_core: vec![0; n],
+                ..Counters::default()
+            },
+            busy: vec![false; n],
+            ..Component::default()
+        }
+    }
+
+    #[test]
+    fn in_place_form_saves_in_declared_order_and_loads_nested_places() {
+        let mut c = component(2);
+        c.now = Time::from_nanos(7);
+        c.counters.hits = 3;
+        c.counters.per_core = vec![1, 2];
+        c.busy = vec![true, false];
+        let saved = crate::json::obj(c.snap_entries());
+        assert_eq!(
+            saved,
+            crate::json::parse(
+                r#"{"now": 7, "hits": 3, "per_core": [1, 2], "busy": [true, false]}"#
+            )
+            .unwrap()
+        );
+        let keys: Vec<&str> = c.snap_entries().iter().map(|(k, _)| *k).collect();
+        assert_eq!(keys, ["now", "hits", "per_core", "busy"]);
+        let mut back = component(2);
+        back.load_entries(&saved).unwrap();
+        assert_eq!(back.now, c.now);
+        assert_eq!(back.counters.hits, 3);
+        assert_eq!(back.counters.per_core, [1, 2]);
+        assert_eq!(back.busy, [true, false]);
+    }
+
+    #[test]
+    fn in_place_form_checks_lengths_and_names_missing_keys() {
+        let saved = crate::json::obj(component(2).snap_entries());
+        let err = component(3).load_entries(&saved).unwrap_err();
+        assert_eq!(
+            err,
+            "snapshot field \"per_core\" has 2 entries, the machine has 3"
+        );
+        let partial =
+            crate::json::parse(r#"{"now": 7, "per_core": [0, 0], "busy": [true, false]}"#).unwrap();
+        let err = component(2).load_entries(&partial).unwrap_err();
+        assert_eq!(err, "snapshot field \"hits\" missing");
     }
 
     #[test]

@@ -5,11 +5,14 @@
 //! tests assert *shape* (who wins, roughly by how much) without being
 //! brittle to calibration nudges.
 
-use nest_repro::{presets, run_many, run_once, Governor, PolicyKind, SimConfig};
+use nest_repro::{presets, run_once, run_seed, Governor, PolicyKind, SimConfig};
 use nest_workloads::{configure::Configure, dacapo::Dacapo, nas::Nas};
 
 fn mean_time(cfg: &SimConfig, w: &dyn nest_repro::Workload, runs: usize) -> f64 {
-    run_many(cfg, w, runs).iter().map(|r| r.time_s).sum::<f64>() / runs as f64
+    (0..runs)
+        .map(|i| run_once(&cfg.clone().seed(run_seed(cfg.seed, i)), w).time_s)
+        .sum::<f64>()
+        / runs as f64
 }
 
 #[test]
