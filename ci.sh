@@ -116,29 +116,8 @@ fi
 echo "==> telemetry self-compare clean; perturbed diff trips the gate"
 
 # Snapshot/replay equivalence and the refusal of a corrupted snapshot
-# are checked by the workspace tests (crates/bench/tests/replay_cli.rs).
-
-# Harness warm-start: a figure run with NEST_WARM_START (first pass
-# snapshots, second pass restores) must write the same artifact bytes
-# as a cold run, while its telemetry records the warm hits.
-warmdir="$(mktemp -d)"
-warmenv=(NEST_QUICK=1 NEST_SEED=42 NEST_RUNS=1 NEST_CACHE=off NEST_PROGRESS=0)
-step env "${warmenv[@]}" NEST_RESULTS_DIR="$warmdir/cold" \
-    cargo run --release -q -p nest-bench --bin fig04_underload
-step env "${warmenv[@]}" NEST_RESULTS_DIR="$warmdir/warm1" \
-    NEST_WARM_START=0.05 NEST_CACHE_DIR="$warmdir/cache" \
-    cargo run --release -q -p nest-bench --bin fig04_underload
-step env "${warmenv[@]}" NEST_RESULTS_DIR="$warmdir/warm2" \
-    NEST_WARM_START=0.05 NEST_CACHE_DIR="$warmdir/cache" \
-    cargo run --release -q -p nest-bench --bin fig04_underload
-step cmp "$warmdir/cold/fig04_underload.json" "$warmdir/warm1/fig04_underload.json"
-step cmp "$warmdir/cold/fig04_underload.json" "$warmdir/warm2/fig04_underload.json"
-step grep -q '"warm_start": true' "$warmdir/warm2/fig04_underload.telemetry.json"
-if grep -q '"cells_warm": 0,' "$warmdir/warm2/fig04_underload.telemetry.json"; then
-    echo "ERROR: second warm-start pass restored no snapshots" >&2
-    exit 1
-fi
-echo "==> warm-start artifacts byte-identical; second pass restored snapshots"
+# are checked by the workspace tests (crates/bench/tests/replay_cli.rs,
+# and tests/snapshot_determinism.rs across policies and governors).
 
 # Hierarchical domains: a 512-core synthetic multi-CCX machine runs end
 # to end under every policy including the domain-local Nest.

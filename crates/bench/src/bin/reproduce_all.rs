@@ -1,6 +1,8 @@
 //! Runs every experiment harness in sequence — the one-command
-//! reproduction of the paper's evaluation section. Each section's binary
-//! can also be run standalone; see DESIGN.md §4 for the index.
+//! reproduction of the paper's evaluation section, followed by the four
+//! extension figures (serving tails, latency attribution, many-core
+//! scaling, fleet failover). Each section's binary can also be run
+//! standalone; see DESIGN.md §4 for the index.
 //!
 //! Respects `NEST_RUNS` / `NEST_QUICK` / `NEST_SEED` / `NEST_JOBS` /
 //! `NEST_CACHE` like the individual binaries. Output order follows the
@@ -19,7 +21,7 @@ use std::time::Instant;
 
 use nest_harness::{json, results_dir, Json};
 
-const SECTIONS: [&str; 15] = [
+const SECTIONS: [&str; 19] = [
     "table23_machines",
     "fig02_trace",
     "fig03_underload_timeline",
@@ -35,6 +37,10 @@ const SECTIONS: [&str; 15] = [
     "table4_overview",
     "ablation",
     "other_apps",
+    "fig_serve_tail",
+    "fig_attribution",
+    "fig_scale",
+    "fig_fleet_failover",
 ];
 
 struct SectionResult {
@@ -59,6 +65,9 @@ struct SectionTelemetry {
 
 fn run(bin: &'static str) -> SectionResult {
     println!("\n################ {bin} ################\n");
+    // A sidecar left by an earlier run would otherwise be reported as this
+    // run's, for a section that fails before writing one or never does.
+    let _ = std::fs::remove_file(telemetry_path(bin));
     let started = Instant::now();
     let exe = std::env::current_exe()
         .ok()
@@ -82,11 +91,14 @@ fn run(bin: &'static str) -> SectionResult {
     }
 }
 
+fn telemetry_path(bin: &str) -> std::path::PathBuf {
+    results_dir().join(format!("{bin}.telemetry.json"))
+}
+
 /// Reads the sidecar the section just wrote; `None` when the section does
 /// not emit one (or failed before writing it).
 fn read_section_telemetry(bin: &str) -> Option<SectionTelemetry> {
-    let path = results_dir().join(format!("{bin}.telemetry.json"));
-    let root = json::parse(&std::fs::read_to_string(path).ok()?).ok()?;
+    let root = json::parse(&std::fs::read_to_string(telemetry_path(bin)).ok()?).ok()?;
     let failed_cells = root
         .get("failures")
         .and_then(|j| j.as_arr())

@@ -229,7 +229,7 @@ impl PausedSim {
 pub fn run_until(cfg: &SimConfig, workload: &dyn Workload, pause_at: Time) -> Progress {
     // Fleet runs are not snapshotable (keepalive host engines refuse to
     // serialize); run the whole fleet and report it as already done, so
-    // warm starts and replay degrade gracefully instead of panicking.
+    // replay degrades gracefully instead of panicking.
     if let Some(fleet) = workload.fleet_spec() {
         let result = crate::fleet::run_fleet(cfg, workload, &fleet, Vec::new());
         return Progress::Done(Box::new(result));
@@ -657,8 +657,7 @@ mod tests {
         // flat body, v2 predates domain sharding) must be refused at the
         // header — a typed SchemaMismatch, never a parse panic from
         // decoding a body this build no longer understands. The message
-        // is pinned because `nest-sim replay` and the warm-start path
-        // both surface it verbatim.
+        // is pinned because `nest-sim replay` surfaces it verbatim.
         for old in [1u64, 2] {
             let text = snap_at(Time::from_millis(40))
                 .replace("\"schema\": 3", &format!("\"schema\": {old}"));

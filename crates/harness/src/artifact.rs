@@ -160,15 +160,6 @@ impl Artifact {
             ));
             fields.push(("timeseries_dropped", Json::usize(t.timeseries_dropped)));
         }
-        // Present only when warm-start was enabled, so default-run
-        // telemetry keeps its exact shape too.
-        if let Some(w) = &t.warm {
-            fields.push(("warm_start", Json::Bool(true)));
-            fields.push(("warm_pause_s", Json::f64(w.pause_s)));
-            fields.push(("cells_warm", Json::usize(w.cells_warm)));
-            fields.push(("warm_events_saved", Json::u64(w.events_saved)));
-            fields.push(("warm_snapshots_written", Json::usize(w.snapshots_written)));
-        }
         if let Some(p) = &t.profile {
             fields.push(("profile", profile_json(p)));
         }

@@ -7,7 +7,10 @@
 //! full scheduler setup (including ablation parameters), the workload key,
 //! the run index, the derived seed, and the horizon. Re-running a figure
 //! binary after an unrelated change skips completed cells; any change to a
-//! cell's configuration changes its key and forces a fresh run.
+//! cell's configuration changes its key and forces a fresh run. The key
+//! does not cover the simulator's code (the crate version is the same
+//! across edits), so after a change to simulated behaviour a warm cache
+//! serves stale summaries until it is cleared with `NEST_CACHE=clear`.
 //!
 //! Entries are one JSON file per cell under `results/cache/` (override
 //! with `NEST_CACHE_DIR`), written atomically (temp file + rename) so
@@ -639,9 +642,9 @@ mod tests {
             splitmix64(0xC1EA)
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        // The warm snapshot store lives inside the cache directory, so a
-        // `NEST_CACHE=clear` run must discard stale snapshots along with
-        // stale summaries.
+        // Older builds kept warm-start snapshots in a `warm/` directory
+        // inside the cache directory; a `NEST_CACHE=clear` run wipes the
+        // whole directory, so it discards them along with stale summaries.
         let warm = dir.join("warm");
         std::fs::create_dir_all(&warm).unwrap();
         std::fs::write(warm.join("deadbeef.snap"), "stale snapshot").unwrap();

@@ -26,8 +26,8 @@
 //!
 //! # Environment knobs
 //!
-//! The harness reads its worker count, cache, warm-start, watchdog and
-//! profiler settings from `NEST_*` environment variables; the README's
+//! The harness reads its worker count, cache, watchdog and profiler
+//! settings from `NEST_*` environment variables; the README's
 //! *Harness* section has the full table.
 //!
 //! # Example
@@ -64,6 +64,4 @@ pub use artifact::{comparison_json, metric_blocks, results_dir, Artifact};
 pub use cache::{Cache, CacheMode};
 pub use nest_simcore::json::Json;
 pub use progress::Progress;
-pub use runner::{
-    cell_seed, jobs, run_raw, Matrix, RawCell, Telemetry, WarmStart, WarmTelemetry, WorkloadFactory,
-};
+pub use runner::{cell_seed, jobs, run_raw, Matrix, RawCell, Telemetry, WorkloadFactory};

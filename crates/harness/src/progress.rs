@@ -87,13 +87,6 @@ impl Progress {
                 self.label, t.cells_aborted
             );
         }
-        if let Some(w) = &t.warm {
-            eprintln!(
-                "[{}] warm-start@{:.3}s: {} cell(s) resumed ({} events skipped), \
-                 {} snapshot(s) written",
-                self.label, w.pause_s, w.cells_warm, w.events_saved, w.snapshots_written
-            );
-        }
         if t.invariants.violations > 0 {
             eprintln!(
                 "[{}] WARNING: {} invariant violation(s) — see telemetry",

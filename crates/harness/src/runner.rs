@@ -26,13 +26,11 @@
 //! (wall-clock) abort runaway cells with partial results; and the
 //! always-on invariant checker's tallies are merged into telemetry.
 
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
 use nest_core::experiment::{Comparison, SchedulerSetup};
-use nest_core::snapshot as snap;
 use nest_core::{run_once, RunResult, SimConfig};
 use nest_faults::FaultPlan;
 use nest_metrics::{FleetMetrics, PhaseMetrics, RunSummary, ServeMetrics};
@@ -45,71 +43,7 @@ use nest_topology::MachineSpec;
 use nest_workloads::Workload;
 
 use crate::cache::{cell_identity, cell_key, scenario_cell_identity, Cache};
-use crate::json::Json;
 use crate::progress::Progress;
-
-/// Warm-start configuration: pause every cold cell at `pause`, snapshot
-/// it into `dir`, and let later runs of the same cell restore the
-/// snapshot instead of re-simulating the prefix.
-///
-/// Warm-start never changes results: the determinism suite pins
-/// pause/snapshot/restore/continue byte-equal to a straight run, so the
-/// comparisons and figure artifacts are identical with it on or off —
-/// only wall-clock (and the telemetry describing it) differs. It
-/// complements the summary cache: a summary hit skips the whole cell,
-/// while a warm hit accelerates cells that must simulate. Only a run
-/// whose summary cache is off (`NEST_CACHE=off`) or has lost the cell's
-/// entry can hit: `NEST_CACHE=clear` deletes the warm snapshots too, and
-/// a bumped cache schema changes the cell identity that every warm
-/// identity embeds.
-#[derive(Clone, Debug)]
-pub struct WarmStart {
-    /// Simulated time at which cold cells snapshot.
-    pub pause: Time,
-    /// Directory holding `<key>.snap` files.
-    pub dir: PathBuf,
-}
-
-impl WarmStart {
-    /// Warm-start at `pause` with snapshots under the default directory
-    /// (`results/cache/warm`, or `$NEST_CACHE_DIR/warm`).
-    pub fn at(pause: Time) -> WarmStart {
-        let cache_dir = std::env::var("NEST_CACHE_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(|_| Path::new("results").join("cache"));
-        WarmStart {
-            pause,
-            dir: cache_dir.join("warm"),
-        }
-    }
-
-    /// Reads `NEST_WARM_START` (pause point in simulated seconds, > 0);
-    /// unset, unparseable, or non-positive means warm-start is off.
-    pub fn from_env() -> Option<WarmStart> {
-        let secs = std::env::var("NEST_WARM_START")
-            .ok()?
-            .parse::<f64>()
-            .ok()
-            .filter(|&s| s > 0.0 && s.is_finite())?;
-        Some(WarmStart::at(Time::from_nanos((secs * 1e9) as u64)))
-    }
-
-    /// The snapshot identity of one cell: the full cell identity plus the
-    /// pause point and the snapshot schema, so a snapshot taken for a
-    /// different cell, pause point, or format version can never restore.
-    fn identity(&self, cell_id: &str) -> String {
-        format!(
-            "warm;snap_schema={};pause_ns={};{cell_id}",
-            snap::SNAPSHOT_SCHEMA,
-            self.pause.as_nanos()
-        )
-    }
-
-    /// Path of one cell's snapshot file.
-    fn path(&self, warm_key: &str) -> PathBuf {
-        self.dir.join(format!("{warm_key}.snap"))
-    }
-}
 
 /// Constructs a fresh workload inside a worker thread. Factories capture
 /// only plain specs; the (possibly `Rc`-laden) workload itself never
@@ -161,9 +95,6 @@ struct Cell {
     run: usize,
     seed: u64,
     key: String,
-    /// The canonical identity string behind `key`, kept so warm-start can
-    /// derive its own (pause-point-qualified) snapshot identity.
-    id: String,
 }
 
 /// Execution statistics of one [`Matrix::run`] call. Wall-clock and cache
@@ -213,24 +144,6 @@ pub struct Telemetry {
     /// Kernel-state invariant tallies merged over the cells that
     /// simulated (cache hits contribute nothing).
     pub invariants: InvariantCounts,
-    /// Warm-start accounting, present when warm-start was enabled
-    /// (`NEST_WARM_START` or [`Matrix::with_warm_start`]).
-    pub warm: Option<WarmTelemetry>,
-}
-
-/// Warm-start accounting for one [`Matrix::run`] call.
-#[derive(Clone, Debug, Default)]
-pub struct WarmTelemetry {
-    /// The configured pause point, in simulated seconds.
-    pub pause_s: f64,
-    /// Cells that resumed from a cached snapshot instead of simulating
-    /// their prefix.
-    pub cells_warm: usize,
-    /// Simulation events skipped by restoring (the sum of each restored
-    /// snapshot's dispatched-event tally).
-    pub events_saved: u64,
-    /// Snapshots written by cold cells this run (warming the next run).
-    pub snapshots_written: usize,
 }
 
 /// One contained per-cell failure.
@@ -251,7 +164,7 @@ impl Telemetry {
     /// An empty fold over `cells_total` cells. The invariant tallies
     /// start `completed` (an empty fold has no incomplete run), which
     /// `InvariantCounts::default()` does not.
-    fn new(cells_total: usize, warm: Option<WarmTelemetry>) -> Telemetry {
+    fn new(cells_total: usize) -> Telemetry {
         Telemetry {
             jobs: 0,
             cells_total,
@@ -272,7 +185,6 @@ impl Telemetry {
                 completed: true,
                 ..InvariantCounts::default()
             },
-            warm,
         }
     }
 
@@ -402,11 +314,6 @@ struct CellDone {
     /// The full result of a simulated cell; `None` for a cache hit. Held
     /// only until the in-order fold reaches the cell.
     run: Option<RunResult>,
-    /// `Some(events)` when the cell resumed from a warm snapshot that had
-    /// already dispatched `events` events.
-    warm_restored: Option<u64>,
-    /// Whether the cell wrote a warm snapshot for future runs.
-    warm_written: bool,
 }
 
 /// A batch of experiments executed together across one worker pool.
@@ -415,7 +322,6 @@ pub struct Matrix {
     jobs: usize,
     cache: Cache,
     progress: Progress,
-    warm: Option<WarmStart>,
     experiments: Vec<Experiment>,
 }
 
@@ -429,7 +335,6 @@ impl Matrix {
             jobs: jobs(),
             cache: Cache::from_env(),
             progress: Progress::from_env(label),
-            warm: WarmStart::from_env(),
             experiments: Vec::new(),
         }
     }
@@ -452,10 +357,12 @@ impl Matrix {
         self
     }
 
-    /// Overrides the warm-start configuration (`None` disables it
-    /// regardless of `NEST_WARM_START`).
-    pub fn with_warm_start(mut self, warm: Option<WarmStart>) -> Matrix {
-        self.warm = warm;
+    /// Does nothing. Harness warm-start is gone: every cell is a cache
+    /// hit or a full `run_once`. `None` is the only value the argument can
+    /// take; the method stays only because perfbench still calls
+    /// `.with_warm_start(None)`, and goes at the next change to the
+    /// benchmark.
+    pub fn with_warm_start(self, _off: Option<std::convert::Infallible>) -> Matrix {
         self
     }
 
@@ -580,7 +487,6 @@ impl Matrix {
                         run,
                         seed,
                         key: cell_key(&cell_id),
-                        id: cell_id,
                     });
                 }
             }
@@ -608,11 +514,7 @@ impl Matrix {
                     .collect()
             })
             .collect();
-        let warm = self.warm.as_ref().map(|w| WarmTelemetry {
-            pause_s: w.pause.as_secs_f64(),
-            ..WarmTelemetry::default()
-        });
-        let mut telemetry = Telemetry::new(total, warm);
+        let mut telemetry = Telemetry::new(total);
         let workers = fan_out(
             total,
             self.jobs,
@@ -651,13 +553,6 @@ impl Matrix {
                     Some(r) => telemetry.absorb(label, r),
                     None => telemetry.cells_cached += 1,
                 }
-                if let Some(w) = telemetry.warm.as_mut() {
-                    if let Some(events) = done.warm_restored {
-                        w.cells_warm += 1;
-                        w.events_saved += events;
-                    }
-                    w.snapshots_written += usize::from(done.warm_written);
-                }
                 per_exp[cell.exp][cell.setup].push(done.summary);
             },
         );
@@ -695,12 +590,7 @@ impl Matrix {
     /// never executed).
     fn execute(&self, cell: &Cell) -> CellDone {
         if let Some(summary) = self.cache.lookup(&cell.key) {
-            return CellDone {
-                summary,
-                run: None,
-                warm_restored: None,
-                warm_written: false,
-            };
+            return CellDone { summary, run: None };
         }
         let e = &self.experiments[cell.exp];
         let setup = &e.setups[cell.setup];
@@ -717,22 +607,7 @@ impl Matrix {
         if let Some(f) = &e.faults {
             cfg = cfg.faults(f.clone());
         }
-        let workload = (e.factory)();
-        let mut warm_restored = None;
-        let mut warm_written = false;
-        let result = match &self.warm {
-            Some(w) => self
-                .simulate_warm(w, cell, &cfg, workload.as_ref())
-                .map(|(result, restored, written)| {
-                    warm_restored = restored;
-                    warm_written = written;
-                    result
-                })
-                // No snapshot and the run finished before the pause point
-                // — `simulate_warm` already produced the full result.
-                .unwrap_or_else(|r| *r),
-            None => run_once(&cfg, workload.as_ref()),
-        };
+        let result = run_once(&cfg, (e.factory)().as_ref());
         let summary = result.summarize();
         // An aborted (watchdog-cut) cell keeps its partial summary but
         // is never cached: a rerun with a different budget must recompute.
@@ -742,67 +617,8 @@ impl Matrix {
         CellDone {
             summary,
             run: Some(result),
-            warm_restored,
-            warm_written,
         }
     }
-
-    /// Simulates one cell under warm-start: restore the cell's snapshot
-    /// if a valid one exists, else run to the pause point, snapshot, and
-    /// continue. Returns `Err(result)` when the simulation finished
-    /// before the pause point (nothing to snapshot).
-    ///
-    /// Snapshot trouble is never fatal: an unreadable, corrupt, or
-    /// mismatched snapshot is deleted and the cell re-simulates from
-    /// scratch (exactly like a result-cache miss), and a failed write
-    /// only costs the next run its warm hit.
-    fn simulate_warm(
-        &self,
-        w: &WarmStart,
-        cell: &Cell,
-        cfg: &SimConfig,
-        workload: &dyn Workload,
-    ) -> Result<(RunResult, Option<u64>, bool), Box<RunResult>> {
-        let identity = w.identity(&cell.id);
-        let path = w.path(&cell_key(&identity));
-        if let Ok(text) = std::fs::read_to_string(&path) {
-            match snap::restore(cfg, workload, &text, &identity) {
-                Ok(paused) => {
-                    let events = paused.events_dispatched();
-                    return Ok((paused.resume(), Some(events), false));
-                }
-                // Corruption or a stale identity is a miss, never an
-                // error: drop the bad file and fall through to simulate.
-                Err(_) => {
-                    let _ = std::fs::remove_file(&path);
-                }
-            }
-        }
-        match snap::run_until(cfg, workload, w.pause) {
-            snap::Progress::Done(result) => Err(result),
-            snap::Progress::Paused(paused) => {
-                let written = match paused.snapshot(&identity, Json::Null) {
-                    Ok(text) => write_snapshot(&w.dir, &path, &text),
-                    Err(_) => false,
-                };
-                Ok((paused.resume(), None, written))
-            }
-        }
-    }
-}
-
-/// Atomically writes one warm snapshot (temp file + rename, the same
-/// discipline as cache entries: concurrent writers of one key produce
-/// identical bytes, so last-rename-wins is safe). Returns success.
-fn write_snapshot(dir: &Path, path: &Path, text: &str) -> bool {
-    if std::fs::create_dir_all(dir).is_err() {
-        return false;
-    }
-    let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-        return false;
-    };
-    let tmp = dir.join(format!("{name}.{}.tmp", std::process::id()));
-    std::fs::write(&tmp, text).is_ok() && std::fs::rename(&tmp, path).is_ok()
 }
 
 /// One raw simulation for trace figures (2, 3, 8): full [`RunResult`]s are
@@ -821,7 +637,7 @@ pub struct RawCell {
 pub fn run_raw(cells: Vec<RawCell>, jobs: usize) -> (Vec<RunResult>, Telemetry) {
     let started = Instant::now();
     let prof_before = profile::snapshot();
-    let mut telemetry = Telemetry::new(cells.len(), None);
+    let mut telemetry = Telemetry::new(cells.len());
     let mut results = Vec::with_capacity(cells.len());
     let workers = fan_out(
         cells.len(),
@@ -1093,127 +909,6 @@ mod tests {
             .with_cache(Cache::disabled())
             .with_progress(Progress::quiet());
         assert!(m.add_scenarios(&[free, faulted]).is_err());
-    }
-
-    fn assert_same_comparisons(a: &[Comparison], b: &[Comparison]) {
-        assert_eq!(a.len(), b.len());
-        for (ca, cb) in a.iter().zip(b) {
-            assert_eq!(ca.workload, cb.workload);
-            for (ra, rb) in ca.rows.iter().zip(&cb.rows) {
-                assert_eq!(ra.label, rb.label);
-                assert_eq!(ra.runs, rb.runs, "{}", ra.label);
-            }
-        }
-    }
-
-    fn warm_at(dir: &std::path::Path) -> Option<WarmStart> {
-        Some(WarmStart {
-            pause: Time::from_millis(40),
-            dir: dir.to_path_buf(),
-        })
-    }
-
-    #[test]
-    fn warm_start_changes_no_results_and_skips_the_prefix() {
-        let dir = std::env::temp_dir().join(format!(
-            "nest-warm-test-{}-{:x}",
-            std::process::id(),
-            nest_simcore::rng::splitmix64(0x3A3A)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-
-        let (cold, tc) = small_matrix(2).with_warm_start(None).run();
-        assert!(tc.warm.is_none(), "warm-start off leaves telemetry bare");
-
-        // First warm run: no snapshots yet, every cell simulates in full
-        // but pauses, snapshots, and resumes — results must not move.
-        let (first, t1) = small_matrix(2).with_warm_start(warm_at(&dir)).run();
-        let w1 = t1.warm.expect("warm telemetry present");
-        assert_eq!(w1.cells_warm, 0, "nothing to restore on the first run");
-        assert_eq!(w1.snapshots_written, t1.cells_total);
-        assert_eq!(w1.events_saved, 0);
-        assert_same_comparisons(&cold, &first);
-
-        // Second warm run: every cell restores its snapshot and resumes —
-        // same results again, with the prefix's events skipped.
-        let (second, t2) = small_matrix(2).with_warm_start(warm_at(&dir)).run();
-        let w2 = t2.warm.expect("warm telemetry present");
-        assert_eq!(w2.cells_warm, t2.cells_total, "every cell restored");
-        assert!(w2.events_saved > 0, "restores skip dispatched events");
-        assert_eq!(w2.snapshots_written, 0, "snapshots already on disk");
-        assert_same_comparisons(&cold, &second);
-
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn corrupt_warm_snapshots_fall_back_to_cold_simulation() {
-        let dir = std::env::temp_dir().join(format!(
-            "nest-warm-corrupt-{}-{:x}",
-            std::process::id(),
-            nest_simcore::rng::splitmix64(0xBAD5)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-
-        let (first, _) = small_matrix(1).with_warm_start(warm_at(&dir)).run();
-        let mut snaps = 0;
-        for entry in std::fs::read_dir(&dir).expect("warm dir exists") {
-            let path = entry.unwrap().path();
-            if path.extension().is_some_and(|e| e == "snap") {
-                std::fs::write(&path, "not a snapshot").unwrap();
-                snaps += 1;
-            }
-        }
-        assert!(snaps > 0, "first run wrote snapshots");
-
-        // Corruption is a warm miss: cells re-simulate from scratch,
-        // results hold, and fresh snapshots replace the bad files.
-        let (second, t2) = small_matrix(1).with_warm_start(warm_at(&dir)).run();
-        let w2 = t2.warm.expect("warm telemetry present");
-        assert_eq!(w2.cells_warm, 0, "corrupt snapshots never restore");
-        assert_eq!(w2.snapshots_written, t2.cells_total);
-        assert_same_comparisons(&first, &second);
-
-        // And the rewritten snapshots restore on the third run.
-        let (third, t3) = small_matrix(1).with_warm_start(warm_at(&dir)).run();
-        assert_eq!(t3.warm.expect("warm").cells_warm, t3.cells_total);
-        assert_same_comparisons(&first, &third);
-
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn warm_start_pause_past_the_end_degrades_gracefully() {
-        let dir = std::env::temp_dir().join(format!(
-            "nest-warm-late-{}-{:x}",
-            std::process::id(),
-            nest_simcore::rng::splitmix64(0x1A7E)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let warm = Some(WarmStart {
-            // Far beyond any gdb run: every cell completes before the
-            // pause, so nothing is snapshotted and nothing restores.
-            pause: Time::from_secs(10_000),
-            dir: dir.clone(),
-        });
-        let (cold, _) = small_matrix(1).with_warm_start(None).run();
-        let (warm_run, t) = small_matrix(1).with_warm_start(warm.clone()).run();
-        let w = t.warm.expect("warm telemetry present");
-        assert_eq!(w.cells_warm, 0);
-        assert_eq!(w.snapshots_written, 0);
-        assert_same_comparisons(&cold, &warm_run);
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn warm_start_env_parses() {
-        // Pure parsing helpers — no env mutation (tests run in parallel).
-        let w = WarmStart::at(Time::from_millis(250));
-        assert_eq!(w.pause.as_nanos(), 250_000_000);
-        let id_a = w.identity("cell-a");
-        assert_ne!(id_a, w.identity("cell-b"));
-        assert!(id_a.contains("pause_ns=250000000"), "{id_a}");
-        assert!(id_a.contains("snap_schema="), "{id_a}");
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! that never paused — and the snapshot itself must round-trip through
 //! restore to byte-identical text.
 //!
-//! These are the end-to-end guarantees behind `nest-sim replay` and the
-//! harness's warm-start: neither surface may ever change a result.
+//! These are the end-to-end guarantees behind `nest-sim replay`: a
+//! what-if branched from a snapshot starts from exactly the state a
+//! straight run would have reached.
 
 use nest_repro::scenario::Scenario;
 use nest_repro::{restore, run_once, run_until, PausedSim, Progress, SnapError};
@@ -14,7 +15,9 @@ use nest_simcore::Time;
 
 /// Every `(policy × variant)` combination the correctness bar covers:
 /// a plain batch workload, the same workload under a fault plan, and an
-/// open-loop serving workload.
+/// open-loop serving workload, all under schedutil; plus the batch
+/// workload under the performance governor for CFS and Nest, which
+/// completes the {cfs, nest} × {schedutil, performance} setups of fig04.
 fn scenarios() -> Vec<Scenario> {
     let mut out = Vec::new();
     for policy in ["cfs", "nest", "smove"] {
@@ -29,6 +32,13 @@ fn scenarios() -> Vec<Scenario> {
             .expect("serving scenario parses")
             .with_seed(2022);
         out.extend([plain, faulted, serving]);
+    }
+    for policy in ["cfs", "nest"] {
+        out.push(
+            Scenario::parse("5218", policy, "performance", "configure:gdb")
+                .expect("performance scenario parses")
+                .with_seed(2022),
+        );
     }
     out
 }
